@@ -11,14 +11,15 @@
 //! * the phases of the prior-art fixed-interval detector.
 
 use core::fmt;
+use core::ops::Range;
 
 use opd_client::{recommended_mpl, simulate_intervals, CostModel};
-use opd_scoring::score_intervals;
+use opd_core::KernelKind;
 
 use crate::exp::{avg, ExpOptions};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind};
 use crate::report::{fmt_pct, Table};
-use crate::runner::{prepare_all, sweep, ConfigRun};
+use crate::runner::{prepare_all, run_detector, sweep_many_with_kernel};
 
 /// One client's aggregate outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,15 +77,10 @@ pub fn client_models() -> Vec<(&'static str, CostModel)> {
     ]
 }
 
-fn best_by_score<'a>(
-    runs: &'a [ConfigRun],
-    oracle: &opd_baseline::BaselineSolution,
-) -> Option<&'a ConfigRun> {
-    runs.iter().max_by(|a, b| {
-        score_intervals(&a.detected, oracle)
-            .combined()
-            .total_cmp(&score_intervals(&b.detected, oracle).combined())
-    })
+/// Index of the best-scoring config in `range`; the last one among
+/// equal scores.
+fn best_in(scores: &[f64], range: Range<usize>) -> Option<usize> {
+    range.max_by(|&a, &b| scores[a].total_cmp(&scores[b]))
 }
 
 /// Runs the client study.
@@ -94,32 +90,45 @@ pub fn run(opts: &ExpOptions) -> ClientResult {
     let mpls: Vec<u64> = models.iter().map(|(_, m)| recommended_mpl(m)).collect();
     let prepared = prepare_all(&opts.workloads, opts.scale, &mpls, opts.fuel);
 
+    // Per client: the framework grid (Constant + Adaptive) and the
+    // fixed-interval grid, all scored in one sweep; only the winners
+    // are re-run for their phases.
+    let mut configs = Vec::new();
+    let mut grids = Vec::new();
+    let mut config_mpl = Vec::new();
+    for &mpl in &mpls {
+        let cw = half_mpl_cw(mpl);
+        let mut detector = policy_grid(TwKind::Constant, cw);
+        detector.extend(policy_grid(TwKind::Adaptive, cw));
+        for grid in [detector, policy_grid(TwKind::FixedInterval, cw)] {
+            grids.push(configs.len()..configs.len() + grid.len());
+            configs.extend(grid);
+            config_mpl.resize(configs.len(), mpl);
+        }
+    }
+    let kernel = KernelKind::default();
+    let scores = sweep_many_with_kernel(&prepared, &configs, opts.threads, kernel, |p, ci, run| {
+        run.score(p.oracle(config_mpl[ci])).combined()
+    });
+
     let rows = models
         .into_iter()
         .zip(mpls)
-        .map(|((client, model), mpl)| {
-            let cw = half_mpl_cw(mpl);
+        .enumerate()
+        .map(|(mi, ((client, model), mpl))| {
             let mut oracle_b = Vec::new();
             let mut detector_b = Vec::new();
             let mut fixed_b = Vec::new();
-            for p in &prepared {
-                let oracle = p.oracle(mpl);
-                let truth = oracle.phases();
+            for (p, scores) in prepared.iter().zip(&scores) {
+                let truth = p.oracle(mpl).phases();
                 let total = p.total_elements();
+                let benefit = |ci: usize| {
+                    let detected = run_detector(configs[ci], p.interned()).detected;
+                    simulate_intervals(&detected, truth, total, &model).net_benefit_pct()
+                };
                 oracle_b.push(simulate_intervals(truth, truth, total, &model).net_benefit_pct());
-                let mut runs = sweep(p, &policy_grid(TwKind::Constant, cw), opts.threads);
-                runs.extend(sweep(p, &policy_grid(TwKind::Adaptive, cw), opts.threads));
-                if let Some(best) = best_by_score(&runs, oracle) {
-                    detector_b.push(
-                        simulate_intervals(&best.detected, truth, total, &model).net_benefit_pct(),
-                    );
-                }
-                let fixed = sweep(p, &policy_grid(TwKind::FixedInterval, cw), opts.threads);
-                if let Some(best) = best_by_score(&fixed, oracle) {
-                    fixed_b.push(
-                        simulate_intervals(&best.detected, truth, total, &model).net_benefit_pct(),
-                    );
-                }
+                detector_b.extend(best_in(scores, grids[2 * mi].clone()).map(benefit));
+                fixed_b.extend(best_in(scores, grids[2 * mi + 1].clone()).map(benefit));
             }
             ClientRow {
                 client,

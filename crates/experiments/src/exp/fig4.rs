@@ -8,10 +8,10 @@
 
 use core::fmt;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, best_scores, ExpOptions, Grid};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind, MPLS_FIG4};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep_many};
+use crate::runner::{prepare_all, ConfigRun};
 
 /// Scores for one MPL value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,24 +49,22 @@ impl Fig4Result {
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Fig4Result {
     let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_FIG4, opts.fuel);
+    let grids: Vec<Grid> = MPLS_FIG4
+        .iter()
+        .flat_map(|&mpl| TwKind::ALL.map(|kind| (policy_grid(kind, half_mpl_cw(mpl)), vec![mpl])))
+        .collect();
+    let best = best_scores(&prepared, &grids, opts.threads, ConfigRun::score);
+    let score = |gi: usize| avg(best.iter().map(|w| w[gi][0]));
     let rows = MPLS_FIG4
         .iter()
-        .map(|&mpl| {
-            let cw = half_mpl_cw(mpl);
-            let mut scores = [Vec::new(), Vec::new(), Vec::new()];
-            for (ki, &kind) in TwKind::ALL.iter().enumerate() {
-                // All workloads at once: (workload × shape-group)
-                // units share the thread pool.
-                let per_workload = sweep_many(&prepared, &policy_grid(kind, cw), opts.threads);
-                for (p, runs) in prepared.iter().zip(&per_workload) {
-                    scores[ki].push(best_combined(runs, p.oracle(mpl)));
-                }
-            }
+        .enumerate()
+        .map(|(mi, &mpl)| {
+            let gi = mi * TwKind::ALL.len();
             Fig4Row {
                 mpl,
-                adaptive: avg(scores[0].iter().copied()),
-                constant: avg(scores[1].iter().copied()),
-                fixed_interval: avg(scores[2].iter().copied()),
+                adaptive: score(gi),
+                constant: score(gi + 1),
+                fixed_interval: score(gi + 2),
             }
         })
         .collect();

@@ -6,10 +6,10 @@ use core::fmt;
 use opd_core::ModelPolicy;
 use opd_microvm::workloads::Workload;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, best_scores, ExpOptions};
 use crate::grid::{analyzer_grid, half_mpl_cw, TwKind, MPLS_MAIN};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep};
+use crate::runner::{prepare_all, ConfigRun};
 
 /// Scores for one (MPL, TW policy) group of Figure 5's bars.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -51,36 +51,37 @@ impl Fig5Result {
 pub fn run(opts: &ExpOptions) -> Fig5Result {
     let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_MAIN, opts.fuel);
     let kinds = [TwKind::Constant, TwKind::Adaptive];
-    let mut cells = Vec::new();
+    let models = [ModelPolicy::WeightedSet, ModelPolicy::UnweightedSet];
+    let mut grids = Vec::new();
     for &mpl in &MPLS_MAIN {
         let cw = half_mpl_cw(mpl);
         for &kind in &kinds {
-            let mut by_model = [Vec::new(), Vec::new()]; // [weighted, unweighted] x bench
-            let mut is_compress = Vec::new();
-            for p in &prepared {
-                is_compress.push(p.workload() == Workload::Blockcomp);
-                for (slot, model) in [ModelPolicy::WeightedSet, ModelPolicy::UnweightedSet]
-                    .into_iter()
-                    .enumerate()
-                {
-                    let runs = sweep(p, &analyzer_grid(kind, cw, model), opts.threads);
-                    by_model[slot].push(best_combined(&runs, p.oracle(mpl)));
-                }
+            for model in models {
+                grids.push((analyzer_grid(kind, cw, model), vec![mpl]));
             }
-            let without = |scores: &[f64]| {
-                avg(scores
+        }
+    }
+    let best = best_scores(&prepared, &grids, opts.threads, ConfigRun::score);
+    let mut cells = Vec::new();
+    for (mi, &mpl) in MPLS_MAIN.iter().enumerate() {
+        for (ki, &kind) in kinds.iter().enumerate() {
+            let gi = (mi * kinds.len() + ki) * models.len();
+            // Average best score of one model, over the workloads `keep`
+            // admits by whether they are the compress analogue.
+            let score = |slot: usize, keep: fn(bool) -> bool| {
+                avg(best
                     .iter()
-                    .zip(&is_compress)
-                    .filter(|&(_, &c)| !c)
-                    .map(|(&s, _)| s))
+                    .zip(&prepared)
+                    .filter(|(_, p)| keep(p.workload() == Workload::Blockcomp))
+                    .map(|(w, _)| w[gi + slot][0]))
             };
             cells.push(Fig5Cell {
                 mpl,
                 kind,
-                weighted: avg(by_model[0].iter().copied()),
-                unweighted: avg(by_model[1].iter().copied()),
-                weighted_no_compress: without(&by_model[0]),
-                unweighted_no_compress: without(&by_model[1]),
+                weighted: score(0, |_| true),
+                unweighted: score(1, |_| true),
+                weighted_no_compress: score(0, |c| !c),
+                unweighted_no_compress: score(1, |c| !c),
             });
         }
     }

@@ -5,10 +5,10 @@ use core::fmt;
 
 use opd_core::{AnchorPolicy, ResizePolicy};
 
-use crate::exp::{avg, pct_improvement, ExpOptions};
+use crate::exp::{avg, best_scores, pct_improvement, ExpOptions, Grid};
 use crate::grid::{adaptive_grid, half_mpl_cw, MPLS_TABLE1};
 use crate::report::{fmt_mpl, fmt_pct, Table};
-use crate::runner::{best_combined, prepare_all, sweep};
+use crate::runner::{prepare_all, ConfigRun};
 
 /// Improvements for one MPL value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,23 +46,27 @@ impl Fig7Result {
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Fig7Result {
     let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_TABLE1, opts.fuel);
+    let variants = [
+        (AnchorPolicy::RightmostNoisy, ResizePolicy::Slide),
+        (AnchorPolicy::RightmostNoisy, ResizePolicy::Move),
+        (AnchorPolicy::LeftmostNonNoisy, ResizePolicy::Slide),
+    ];
+    let grids: Vec<Grid> = MPLS_TABLE1
+        .iter()
+        .flat_map(|&mpl| {
+            variants.map(|(anchor, resize)| {
+                (adaptive_grid(half_mpl_cw(mpl), anchor, resize), vec![mpl])
+            })
+        })
+        .collect();
+    let best = best_scores(&prepared, &grids, opts.threads, ConfigRun::score);
     let rows = MPLS_TABLE1
         .iter()
-        .map(|&mpl| {
-            let cw = half_mpl_cw(mpl);
-            let variants = [
-                (AnchorPolicy::RightmostNoisy, ResizePolicy::Slide),
-                (AnchorPolicy::RightmostNoisy, ResizePolicy::Move),
-                (AnchorPolicy::LeftmostNonNoisy, ResizePolicy::Slide),
-            ];
+        .enumerate()
+        .map(|(mi, &mpl)| {
             // Average of best scores per variant across benchmarks.
-            let mut scores = [0.0f64; 3];
-            for (vi, &(anchor, resize)) in variants.iter().enumerate() {
-                scores[vi] = avg(prepared.iter().map(|p| {
-                    let runs = sweep(p, &adaptive_grid(cw, anchor, resize), opts.threads);
-                    best_combined(&runs, p.oracle(mpl))
-                }));
-            }
+            let scores: [f64; 3] =
+                std::array::from_fn(|vi| avg(best.iter().map(|w| w[mi * variants.len() + vi][0])));
             Fig7Row {
                 mpl,
                 slide_over_move: pct_improvement(scores[0], scores[1]),

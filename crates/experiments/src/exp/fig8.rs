@@ -7,10 +7,10 @@
 
 use core::fmt;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, best_scores, ExpOptions, Grid};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind, MPLS_FIG4};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined_anchored, prepare_all, sweep};
+use crate::runner::{prepare_all, ConfigRun};
 
 /// Anchored-boundary scores for one MPL value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,22 +43,20 @@ impl Fig8Result {
 #[must_use]
 pub fn run(opts: &ExpOptions) -> Fig8Result {
     let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_FIG4, opts.fuel);
+    let kinds = [TwKind::Constant, TwKind::Adaptive];
+    let grids: Vec<Grid> = MPLS_FIG4
+        .iter()
+        .flat_map(|&mpl| kinds.map(|kind| (policy_grid(kind, half_mpl_cw(mpl)), vec![mpl])))
+        .collect();
+    let best = best_scores(&prepared, &grids, opts.threads, ConfigRun::anchored_score);
+    let score = |gi: usize| avg(best.iter().map(|w| w[gi][0]));
     let rows = MPLS_FIG4
         .iter()
-        .map(|&mpl| {
-            let cw = half_mpl_cw(mpl);
-            let mut scores = [0.0f64; 2];
-            for (ki, kind) in [TwKind::Constant, TwKind::Adaptive].into_iter().enumerate() {
-                scores[ki] = avg(prepared.iter().map(|p| {
-                    let runs = sweep(p, &policy_grid(kind, cw), opts.threads);
-                    best_combined_anchored(&runs, p.oracle(mpl))
-                }));
-            }
-            Fig8Row {
-                mpl,
-                constant: scores[0],
-                adaptive: scores[1],
-            }
+        .enumerate()
+        .map(|(mi, &mpl)| Fig8Row {
+            mpl,
+            constant: score(mi * kinds.len()),
+            adaptive: score(mi * kinds.len() + 1),
         })
         .collect();
     Fig8Result { rows }

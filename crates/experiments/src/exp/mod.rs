@@ -2,11 +2,16 @@
 //!
 //! Every module exposes `run(&ExpOptions) -> …Result`; results carry
 //! the structured data and render the paper-style table via
-//! `Display`.
+//! `Display`. A sweeping artifact declares all its grids up front and
+//! runs them as one scheduled sweep ([`sweep_many_with_kernel`]),
+//! scored in the workers.
 
+use opd_baseline::BaselineSolution;
+use opd_core::{DetectorConfig, KernelKind};
 use opd_microvm::workloads::Workload;
+use opd_scoring::AccuracyScore;
 
-use crate::runner::default_threads;
+use crate::runner::{default_threads, sweep_many_with_kernel, ConfigRun, PreparedWorkload};
 
 pub mod client;
 pub mod fig4;
@@ -57,6 +62,47 @@ impl ExpOptions {
             ..ExpOptions::default()
         }
     }
+}
+
+/// One grid of an artifact's study: configs scored against the oracle
+/// of every listed MPL.
+pub(crate) type Grid = (Vec<DetectorConfig>, Vec<u64>);
+
+/// Runs every grid over every prepared workload as one scheduled
+/// sweep, scoring each run with `score` (on detected or anchored phase
+/// starts) in the worker that produced it, and returns
+/// `best[workload][grid][mpl]`: the best combined score among the
+/// grid's configs against that MPL's oracle (0 for an empty grid).
+pub(crate) fn best_scores(
+    prepared: &[PreparedWorkload],
+    grids: &[Grid],
+    threads: usize,
+    score: fn(&ConfigRun, &BaselineSolution) -> AccuracyScore,
+) -> Vec<Vec<Vec<f64>>> {
+    let mut configs = Vec::new();
+    let mut owner = Vec::new();
+    for (gi, (grid, _)) in grids.iter().enumerate() {
+        configs.extend_from_slice(grid);
+        owner.resize(configs.len(), gi);
+    }
+    let kernel = KernelKind::default();
+    let scores = sweep_many_with_kernel(prepared, &configs, threads, kernel, |p, ci, run| {
+        let mpls = &grids[owner[ci]].1;
+        let best = |&mpl: &u64| score(&run, p.oracle(mpl)).combined();
+        mpls.iter().map(best).collect::<Vec<f64>>()
+    });
+    scores
+        .into_iter()
+        .map(|per_config| {
+            let mut best: Vec<Vec<f64>> = grids.iter().map(|g| vec![0.0; g.1.len()]).collect();
+            for (ci, s) in per_config.into_iter().enumerate() {
+                for (b, v) in best[owner[ci]].iter_mut().zip(s) {
+                    *b = b.max(v);
+                }
+            }
+            best
+        })
+        .collect()
 }
 
 /// Arithmetic mean; 0 for an empty iterator.

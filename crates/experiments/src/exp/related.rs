@@ -21,10 +21,10 @@ use opd_core::{run_online, AnalyzerPolicy, DetectorConfig, ModelPolicy, PcRangeD
 use opd_scoring::score_intervals;
 use opd_trace::intervals_of;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, best_scores, ExpOptions};
 use crate::grid::{config_for, half_mpl_cw, paper_analyzers, policy_grid, TwKind, MPLS_MAIN};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep, PreparedWorkload};
+use crate::runner::{prepare_all, ConfigRun, PreparedWorkload};
 
 /// Scores for one MPL value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,43 +73,40 @@ fn pc_range_score(p: &PreparedWorkload, mpl: u64, window: usize) -> f64 {
 #[must_use]
 pub fn run(opts: &ExpOptions) -> RelatedResult {
     let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_MAIN, opts.fuel);
+    // Per MPL: the framework grid, the Dhodapkar-Smith point, and the
+    // Pearson grid.
+    let mut grids = Vec::new();
+    for &mpl in &MPLS_MAIN {
+        let cw = half_mpl_cw(mpl);
+        let mut framework = policy_grid(TwKind::Constant, cw);
+        framework.extend(policy_grid(TwKind::Adaptive, cw));
+        let ds_config = DetectorConfig::fixed_interval(
+            cw,
+            ModelPolicy::UnweightedSet,
+            AnalyzerPolicy::Threshold(0.5),
+        )
+        .expect("valid config");
+        let pearson = paper_analyzers()
+            .into_iter()
+            .map(|a| config_for(TwKind::Constant, cw, ModelPolicy::Pearson, a))
+            .collect::<Result<Vec<_>, _>>()
+            .expect("valid config");
+        grids.extend([framework, vec![ds_config], pearson].map(|g| (g, vec![mpl])));
+    }
+    let best = best_scores(&prepared, &grids, opts.threads, ConfigRun::score);
     let rows = MPLS_MAIN
         .iter()
-        .map(|&mpl| {
-            let cw = half_mpl_cw(mpl);
-            let framework = avg(prepared.iter().map(|p| {
-                let mut runs = sweep(p, &policy_grid(TwKind::Constant, cw), opts.threads);
-                runs.extend(sweep(p, &policy_grid(TwKind::Adaptive, cw), opts.threads));
-                best_combined(&runs, p.oracle(mpl))
-            }));
-            let ds_config = DetectorConfig::fixed_interval(
-                cw,
-                ModelPolicy::UnweightedSet,
-                AnalyzerPolicy::Threshold(0.5),
-            )
-            .expect("valid config");
-            let dhodapkar_smith = avg(prepared.iter().map(|p| {
-                let runs = sweep(p, &[ds_config], 1);
-                best_combined(&runs, p.oracle(mpl))
-            }));
-            let pearson = avg(prepared.iter().map(|p| {
-                let configs: Vec<DetectorConfig> = paper_analyzers()
-                    .into_iter()
-                    .map(|a| {
-                        config_for(TwKind::Constant, cw, ModelPolicy::Pearson, a)
-                            .expect("valid config")
-                    })
-                    .collect();
-                let runs = sweep(p, &configs, opts.threads);
-                best_combined(&runs, p.oracle(mpl))
-            }));
-            let pc_range = avg(prepared.iter().map(|p| pc_range_score(p, mpl, cw)));
+        .enumerate()
+        .map(|(mi, &mpl)| {
+            let score = |k: usize| avg(best.iter().map(|w| w[mi * 3 + k][0]));
             RelatedRow {
                 mpl,
-                framework,
-                dhodapkar_smith,
-                pearson,
-                pc_range,
+                framework: score(0),
+                dhodapkar_smith: score(1),
+                pearson: score(2),
+                pc_range: avg(prepared
+                    .iter()
+                    .map(|p| pc_range_score(p, mpl, half_mpl_cw(mpl)))),
             }
         })
         .collect();

@@ -11,10 +11,10 @@
 
 use core::fmt;
 
-use crate::exp::{avg, ExpOptions};
+use crate::exp::{avg, best_scores, ExpOptions, Grid};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind};
 use crate::report::{fmt_mpl, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep};
+use crate::runner::{prepare_all, ConfigRun};
 
 /// The MPL values of the large-MPL regime under study.
 pub const SCALING_MPLS: [u64; 2] = [100_000, 200_000];
@@ -74,20 +74,15 @@ pub fn run(opts: &ExpOptions) -> ScalingResult {
         } else {
             prepared.iter().map(|p| p.total_elements()).sum::<u64>() / prepared.len() as u64
         };
-        for &mpl in &SCALING_MPLS {
-            let cw = half_mpl_cw(mpl);
-            let fixed = avg(prepared.iter().map(|p| {
-                best_combined(
-                    &sweep(p, &policy_grid(TwKind::FixedInterval, cw), opts.threads),
-                    p.oracle(mpl),
-                )
-            }));
-            let constant = avg(prepared.iter().map(|p| {
-                best_combined(
-                    &sweep(p, &policy_grid(TwKind::Constant, cw), opts.threads),
-                    p.oracle(mpl),
-                )
-            }));
+        let kinds = [TwKind::FixedInterval, TwKind::Constant];
+        let grids: Vec<Grid> = SCALING_MPLS
+            .iter()
+            .flat_map(|&mpl| kinds.map(|kind| (policy_grid(kind, half_mpl_cw(mpl)), vec![mpl])))
+            .collect();
+        let best = best_scores(&prepared, &grids, opts.threads, ConfigRun::score);
+        for (mi, &mpl) in SCALING_MPLS.iter().enumerate() {
+            let score = |k: usize| avg(best.iter().map(|w| w[mi * kinds.len() + k][0]));
+            let (fixed, constant) = (score(0), score(1));
             rows.push(ScalingRow {
                 scale,
                 avg_trace_len,

@@ -10,10 +10,10 @@
 
 use core::fmt;
 
-use crate::exp::{avg, pct_improvement, ExpOptions};
+use crate::exp::{avg, best_scores, pct_improvement, ExpOptions, Grid};
 use crate::grid::{policy_grid, TwKind, CW_SIZES, MPLS_TABLE1};
 use crate::report::{fmt_pct, fmt_score, Table};
-use crate::runner::{best_combined, prepare_all, sweep_many};
+use crate::runner::{prepare_all, ConfigRun};
 
 /// Improvements for one benchmark under one TW strategy (part (a)).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,20 +67,14 @@ pub fn run(opts: &ExpOptions) -> Table2Result {
     assert!(!opts.workloads.is_empty(), "need at least one workload");
     let prepared = prepare_all(&opts.workloads, opts.scale, &MPLS_TABLE1, opts.fuel);
 
-    // best[workload][kind][cw_idx][mpl_idx] = best combined score.
-    // Each grid is swept over every workload at once, so the engine
-    // distributes (workload × shape-group) units across the threads.
-    let mut best = vec![[[[0.0f64; MPLS_TABLE1.len()]; CW_SIZES.len()]; 3]; prepared.len()];
-    for (ki, &kind) in TwKind::ALL.iter().enumerate() {
-        for (ci, &cw) in CW_SIZES.iter().enumerate() {
-            let per_workload = sweep_many(&prepared, &policy_grid(kind, cw), opts.threads);
-            for (wi, (p, runs)) in prepared.iter().zip(&per_workload).enumerate() {
-                for (mi, &mpl) in MPLS_TABLE1.iter().enumerate() {
-                    best[wi][ki][ci][mi] = best_combined(runs, p.oracle(mpl));
-                }
-            }
-        }
-    }
+    // best[workload][kind * CW_SIZES.len() + cw_idx][mpl_idx] = best
+    // combined score, from one sweep over every (kind, cw) grid.
+    let grids: Vec<Grid> = TwKind::ALL
+        .iter()
+        .flat_map(|&kind| CW_SIZES.map(|cw| (policy_grid(kind, cw), MPLS_TABLE1.to_vec())))
+        .collect();
+    let best = best_scores(&prepared, &grids, opts.threads, ConfigRun::score);
+    let per_cw = |wi: usize, ki: usize| &best[wi][ki * CW_SIZES.len()..][..CW_SIZES.len()];
 
     // Part (a): improvements of smaller/equal over larger, averaged
     // over the MPL values that have CW sizes on both sides.
@@ -90,7 +84,7 @@ pub fn run(opts: &ExpOptions) -> Table2Result {
         .map(|(wi, p)| BenchImprovements {
             name: p.workload().name(),
             per_kind: (0..TwKind::ALL.len())
-                .map(|ki| improvement_cell(&best[wi][ki]))
+                .map(|ki| improvement_cell(per_cw(wi, ki)))
                 .collect(),
         })
         .collect();
@@ -110,15 +104,16 @@ pub fn run(opts: &ExpOptions) -> Table2Result {
             let mut smaller = Vec::new();
             let mut equal = Vec::new();
             let mut half = Vec::new();
-            for wbest in &best {
+            for wi in 0..best.len() {
+                let per_cw = per_cw(wi, ki);
                 for (mi, &mpl) in MPLS_TABLE1.iter().enumerate() {
-                    if let Some(v) = category_best(&wbest[ki], mi, |cw| (cw as u64) < mpl) {
+                    if let Some(v) = category_best(per_cw, mi, |cw| (cw as u64) < mpl) {
                         smaller.push(v);
                     }
-                    if let Some(v) = category_best(&wbest[ki], mi, |cw| cw as u64 == mpl) {
+                    if let Some(v) = category_best(per_cw, mi, |cw| cw as u64 == mpl) {
                         equal.push(v);
                     }
-                    if let Some(v) = category_best(&wbest[ki], mi, |cw| (cw as u64) <= mpl / 2) {
+                    if let Some(v) = category_best(per_cw, mi, |cw| (cw as u64) <= mpl / 2) {
                         half.push(v);
                     }
                 }
@@ -140,11 +135,7 @@ pub fn run(opts: &ExpOptions) -> Table2Result {
 }
 
 /// Best score among CW sizes selected by `pred`, for one MPL column.
-fn category_best(
-    per_cw: &[[f64; MPLS_TABLE1.len()]; CW_SIZES.len()],
-    mpl_idx: usize,
-    pred: impl Fn(usize) -> bool,
-) -> Option<f64> {
+fn category_best(per_cw: &[Vec<f64>], mpl_idx: usize, pred: impl Fn(usize) -> bool) -> Option<f64> {
     CW_SIZES
         .iter()
         .enumerate()
@@ -155,7 +146,7 @@ fn category_best(
 
 /// Improvements averaged over the MPL values that have CW sizes both
 /// above and below them.
-fn improvement_cell(per_cw: &[[f64; MPLS_TABLE1.len()]; CW_SIZES.len()]) -> ImprovementCell {
+fn improvement_cell(per_cw: &[Vec<f64>]) -> ImprovementCell {
     let mut smaller = Vec::new();
     let mut equal = Vec::new();
     for (mi, &mpl) in MPLS_TABLE1.iter().enumerate() {
@@ -249,7 +240,7 @@ mod tests {
 
     #[test]
     fn category_best_respects_predicate() {
-        let mut per_cw = [[0.0; MPLS_TABLE1.len()]; CW_SIZES.len()];
+        let mut per_cw = vec![vec![0.0; MPLS_TABLE1.len()]; CW_SIZES.len()];
         per_cw[0][0] = 0.3; // cw=500
         per_cw[2][0] = 0.9; // cw=5000
         let best_small = category_best(&per_cw, 0, |cw| cw < 1_000).unwrap();

@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use opd_core::{DetectorConfig, KernelKind};
 
-use crate::runner::{sweep_with_kernel, ConfigRun, PreparedWorkload};
+use crate::runner::{sweep_many_with_kernel, ConfigRun, PreparedWorkload};
 
 /// Sweep-only wall-clock of the pre-rewrite engine on this grid and
 /// workload (one thread), measured immediately before the kernel
@@ -172,7 +172,14 @@ pub fn run_kernel_bench(
         .enumerate()
     {
         let started = Instant::now();
-        runs.push(sweep_with_kernel(prepared, configs, threads, kernel));
+        let prepared = std::slice::from_ref(prepared);
+        runs.extend(sweep_many_with_kernel(
+            prepared,
+            configs,
+            threads,
+            kernel,
+            |_, _, r| r,
+        ));
         kernels[slot] = KernelTiming {
             kernel,
             sweep_seconds: started.elapsed().as_secs_f64(),

@@ -1,6 +1,7 @@
 //! Workload preparation and the parallel configuration sweep.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use opd_analyze::{AbsInt, Analysis, ResourceCertificate};
 use opd_baseline::{BaselineSolution, CallLoopForest};
@@ -186,13 +187,6 @@ impl PreparedWorkload {
         self.probe_density
     }
 
-    /// The abstract interpretation of the workload's program — the
-    /// per-site visit intervals resource certificates are issued from.
-    #[must_use]
-    pub fn absint(&self) -> &AbsInt {
-        &self.absint
-    }
-
     /// The fuel limit the trace was prepared under (`u64::MAX` =
     /// complete run).
     #[must_use]
@@ -360,68 +354,85 @@ pub fn sweep(
     configs: &[DetectorConfig],
     threads: usize,
 ) -> Vec<ConfigRun> {
-    sweep_with_kernel(prepared, configs, threads, KernelKind::default())
-}
-
-/// [`sweep`] on an explicit window kernel — the benchmark harness runs
-/// the same grid on both kernels and diffs the results.
-#[must_use]
-pub fn sweep_with_kernel(
-    prepared: &PreparedWorkload,
-    configs: &[DetectorConfig],
-    threads: usize,
-    kernel: KernelKind,
-) -> Vec<ConfigRun> {
-    let mut per_workload =
-        sweep_many_with_kernel(std::slice::from_ref(prepared), configs, threads, kernel);
+    let mut per_workload = sweep_many(std::slice::from_ref(prepared), configs, threads);
     per_workload.pop().expect("one workload in, one out")
 }
 
 /// Runs many configurations over many prepared workloads, distributing
-/// `(workload × engine unit)` work items over `threads` threads with a
-/// longest-processing-time-first plan. Returns one `configs`-ordered
-/// vector per workload, in `prepared` order.
-///
-/// Workers own disjoint result buckets (no locks on the hot path) and
-/// each carries a [`SweepScratch`] so private-path detector
-/// allocations are reused across the units it runs.
+/// `(workload × engine unit)` work items over `threads` threads.
+/// Returns one `configs`-ordered vector per workload, in `prepared`
+/// order.
 #[must_use]
 pub fn sweep_many(
     prepared: &[PreparedWorkload],
     configs: &[DetectorConfig],
     threads: usize,
 ) -> Vec<Vec<ConfigRun>> {
-    sweep_many_with_kernel(prepared, configs, threads, KernelKind::default())
+    let kernel = KernelKind::default();
+    sweep_many_with_kernel(prepared, configs, threads, kernel, |_, _, run| run)
 }
 
-/// [`sweep_many`] on an explicit window kernel.
+/// [`sweep_many`] on an explicit window kernel, with every run reduced
+/// inside the worker that produced it: `reduce(workload, config_index,
+/// run)` typically scores the run against the workload's oracles, so
+/// its phase intervals are dropped at once instead of being held for
+/// the whole sweep. Each `(workload, unit)` item is priced by the
+/// static window-maintenance and comparison-op bounds of the unit's
+/// members, with the comparison part scaled by a judged-step density:
+/// the certificate midpoints when every member certifies
+/// non-vacuously (the normal case), else the measured probe density.
 #[must_use]
-pub fn sweep_many_with_kernel(
+pub fn sweep_many_with_kernel<T, R>(
     prepared: &[PreparedWorkload],
     configs: &[DetectorConfig],
     threads: usize,
     kernel: KernelKind,
-) -> Vec<Vec<ConfigRun>> {
+    reduce: R,
+) -> Vec<Vec<T>>
+where
+    T: Send,
+    R: Fn(&PreparedWorkload, usize, ConfigRun) -> T + Sync,
+{
     let engine = SweepEngine::with_kernel(configs, kernel);
-    // One work item per (workload, unit), priced by the static
-    // window-maintenance and comparison-op bounds of the unit's
-    // members, with the comparison part scaled by a judged-step
-    // density: the certificate midpoints when every member certifies
-    // non-vacuously (the normal case), else the measured probe
-    // density from prepare time.
-    let mut items: Vec<(usize, usize, u64)> =
-        Vec::with_capacity(prepared.len() * engine.units().len());
-    for (wi, p) in prepared.iter().enumerate() {
+    let mut prices = Vec::with_capacity(prepared.len() * engine.units().len());
+    for p in prepared {
         let certs = p.certificates(configs);
-        for (ui, unit) in engine.units().iter().enumerate() {
-            let cost = match &certs {
-                Some(certs) => certified_unit_cost(configs, unit, p, certs),
-                None => calibrated_unit_cost(configs, unit, p),
-            };
-            items.push((wi, ui, cost));
-        }
+        prices.extend(engine.units().iter().map(|unit| match &certs {
+            Some(certs) => certified_unit_cost(configs, unit, p, certs),
+            None => calibrated_unit_cost(configs, unit, p),
+        }));
     }
-    let threads = threads.max(1).min(items.len().max(1));
+    sweep_priced(prepared, &engine, &prices, threads, reduce)
+}
+
+/// The sweep body, on caller-supplied LPT prices: one per `(workload,
+/// unit)` item, workload-major. Workers claim the next item, heaviest
+/// first, from a shared atomic cursor, so a worker that drew cheap
+/// items keeps claiming instead of idling behind a static bucket. Each
+/// worker fills only its own local results and carries a
+/// [`SweepScratch`] reused across its units; the locals merge into
+/// keyed slots after the join. Prices therefore steer the claim order
+/// only: results never depend on them or on the thread count.
+///
+/// # Panics
+///
+/// Panics if `prices` does not hold one price per item.
+#[must_use]
+pub fn sweep_priced<T, R>(
+    prepared: &[PreparedWorkload],
+    engine: &SweepEngine<'_>,
+    prices: &[u64],
+    threads: usize,
+    reduce: R,
+) -> Vec<Vec<T>>
+where
+    T: Send,
+    R: Fn(&PreparedWorkload, usize, ConfigRun) -> T + Sync,
+{
+    let units = engine.units().len();
+    assert_eq!(prices.len(), prepared.len() * units, "one price per item");
+    let order = lpt_order(prices);
+    let configs = engine.configs();
     // Pre-size every worker's detector site tables to the largest
     // static alphabet bound, so no unit run grows them mid-scan.
     let site_capacity = prepared
@@ -429,60 +440,42 @@ pub fn sweep_many_with_kernel(
         .map(PreparedWorkload::site_capacity)
         .max()
         .unwrap_or(0);
-
-    let mut out: Vec<Vec<Option<ConfigRun>>> = prepared
-        .iter()
-        .map(|_| configs.iter().map(|_| None).collect())
-        .collect();
-    if threads <= 1 {
+    // `Relaxed` suffices: the cursor publishes no data (the RMW alone
+    // makes each claim unique), and the join orders the merge.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
         let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-        for &(wi, ui, _) in &items {
+        let mut local = Vec::new();
+        while let Some(&item) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let (wi, ui) = (item / units, item % units);
             let p = &prepared[wi];
             let total = p.interned().len() as u64;
             for (ci, phases) in engine.run_unit(ui, p.interned(), &mut scratch) {
-                out[wi][ci] = Some(config_run(configs[ci], &phases, total));
+                let run = config_run(configs[ci], &phases, total);
+                local.push((wi, ci, reduce(p, ci, run)));
             }
         }
+        local
+    };
+    let threads = threads.clamp(1, order.len().max(1));
+    let filled: Vec<Vec<(usize, usize, T)>> = if threads == 1 {
+        vec![work()]
     } else {
-        let costs: Vec<u64> = items.iter().map(|&(_, _, c)| c).collect();
-        let buckets: Vec<Vec<(usize, usize)>> = lpt_plan(&costs, threads)
-            .into_iter()
-            .map(|bucket| {
-                bucket
-                    .into_iter()
-                    .map(|i| (items[i].0, items[i].1))
-                    .collect()
-            })
-            .collect();
-        let engine = &engine;
-        let filled: Vec<Vec<(usize, usize, ConfigRun)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|bucket| {
-                    s.spawn(move || {
-                        let mut scratch = SweepScratch::with_site_capacity(site_capacity);
-                        let mut local = Vec::new();
-                        for (wi, ui) in bucket {
-                            let p = &prepared[wi];
-                            let total = p.interned().len() as u64;
-                            for (ci, phases) in engine.run_unit(ui, p.interned(), &mut scratch) {
-                                local.push((wi, ci, config_run(configs[ci], &phases, total)));
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().expect("sweep worker panicked"))
                 .collect()
-        });
-        for bucket in filled {
-            for (wi, ci, run) in bucket {
-                out[wi][ci] = Some(run);
-            }
-        }
+        })
+    };
+
+    let mut out: Vec<Vec<Option<T>>> = prepared
+        .iter()
+        .map(|_| configs.iter().map(|_| None).collect())
+        .collect();
+    for (wi, ci, value) in filled.into_iter().flatten() {
+        out[wi][ci] = Some(value);
     }
     out.into_iter()
         .map(|w| {
@@ -493,11 +486,21 @@ pub fn sweep_many_with_kernel(
         .collect()
 }
 
-/// Longest-processing-time-first planning: places each item (heaviest
-/// first, index-stable among ties) onto the least-loaded bucket.
-/// Returns the item indices per bucket; [`sweep_many`] schedules from
-/// this plan, and the scheduling regression tests measure its load
-/// imbalance.
+/// Longest-processing-time-first order: item indices heaviest first,
+/// index-stable among ties. [`sweep_many`] workers claim items in this
+/// order.
+fn lpt_order(costs: &[u64]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..costs.len()).collect();
+    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
+    order
+}
+
+/// Longest-processing-time-first planning: places each item (in the
+/// order [`sweep_many`] workers claim them) onto the least-loaded
+/// bucket. Returns the item
+/// indices per bucket; the checkpointed and profiled sweeps schedule
+/// from this static plan, and the scheduling regression tests measure
+/// its load imbalance.
 ///
 /// # Panics
 ///
@@ -505,11 +508,9 @@ pub fn sweep_many_with_kernel(
 #[must_use]
 pub fn lpt_plan(costs: &[u64], buckets: usize) -> Vec<Vec<usize>> {
     assert!(buckets > 0, "at least one bucket");
-    let mut order: Vec<usize> = (0..costs.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(costs[i]), i));
     let mut plan: Vec<Vec<usize>> = vec![Vec::new(); buckets];
     let mut loads = vec![0u64; buckets];
-    for i in order {
+    for i in lpt_order(costs) {
         let t = (0..buckets)
             .min_by_key(|&t| loads[t])
             .expect("at least one bucket");
@@ -524,14 +525,6 @@ pub fn lpt_plan(costs: &[u64], buckets: usize) -> Vec<Vec<usize>> {
 pub fn best_combined(runs: &[ConfigRun], oracle: &BaselineSolution) -> f64 {
     runs.iter()
         .map(|r| r.score(oracle).combined())
-        .fold(0.0, f64::max)
-}
-
-/// The best combined score using anchored boundaries.
-#[must_use]
-pub fn best_combined_anchored(runs: &[ConfigRun], oracle: &BaselineSolution) -> f64 {
-    runs.iter()
-        .map(|r| r.anchored_score(oracle).combined())
         .fold(0.0, f64::max)
 }
 
@@ -615,7 +608,6 @@ mod tests {
             assert!((0.0..=1.0).contains(&a), "{a}");
         }
         assert!(best_combined(&runs, oracle) > 0.0);
-        assert!(best_combined_anchored(&runs, oracle) > 0.0);
     }
 
     #[test]
@@ -645,6 +637,62 @@ mod tests {
         assert_eq!(prepared[1].workload(), Workload::Blockcomp);
     }
 
+    /// Per-bucket loads of `plan`, weighing item `i` by `weights[i]`.
+    fn bucket_loads(plan: &[Vec<usize>], weights: &[u64]) -> Vec<u64> {
+        plan.iter()
+            .map(|bucket| bucket.iter().map(|&i| weights[i]).sum())
+            .collect()
+    }
+
+    /// The heaviest bucket's excess over the mean bucket, as a ratio.
+    fn max_over_mean(loads: &[u64]) -> f64 {
+        let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
+        *loads.iter().max().unwrap() as f64 / mean
+    }
+
+    /// What each `(workload, unit)` item of `configs` really costs:
+    /// metered comparison ops plus the static window-maintenance part.
+    fn measured_costs(prepared: &[PreparedWorkload], configs: &[DetectorConfig]) -> Vec<u64> {
+        let engine = SweepEngine::new(configs);
+        let mut measured = Vec::new();
+        for p in prepared {
+            for (ui, unit) in engine.units().iter().enumerate() {
+                let mut scratch = SweepScratch::with_site_capacity(p.site_capacity());
+                let mut metrics = opd_obs::UnitMetrics::new();
+                let _ = engine.run_unit_metered(ui, p.interned(), &mut scratch, &mut metrics);
+                let (window, _) = opd_analyze::unit_cost_parts(
+                    configs,
+                    unit,
+                    p.total_elements(),
+                    u64::from(p.interned().distinct_count()),
+                );
+                measured.push(window + metrics.compare_ops);
+            }
+        }
+        measured
+    }
+
+    /// Plans 4 buckets from `prices` and re-weighs them with what the
+    /// items really cost: the heaviest bucket may exceed the mean by at
+    /// most 20%, and the heaviest bucket of a plan built directly from
+    /// the measured costs by at most 20% too.
+    fn assert_prices_track_measured_load(prices: &[u64], measured: &[u64], what: &str) {
+        let loads = bucket_loads(&lpt_plan(prices, 4), measured);
+        let ratio = max_over_mean(&loads);
+        assert!(
+            ratio <= 1.20,
+            "{what} LPT imbalance {:.1}% exceeds 20% (loads {loads:?})",
+            (ratio - 1.0) * 100.0
+        );
+        let max = *loads.iter().max().unwrap() as f64;
+        let ideal = bucket_loads(&lpt_plan(measured, 4), measured);
+        let ideal_max = *ideal.iter().max().unwrap() as f64;
+        assert!(
+            max <= ideal_max * 1.20,
+            "{what} plan max {max} vs measured-optimal max {ideal_max}"
+        );
+    }
+
     #[test]
     fn lpt_imbalance_stays_small_on_the_plan_grid() {
         // The static-cost LPT plan for (8 workloads × the 28-config
@@ -655,111 +703,53 @@ mod tests {
         let engine = SweepEngine::new(&configs);
         let mut costs = Vec::new();
         for p in &prepared {
+            let (n, sites) = (p.total_elements(), p.site_capacity() as u64);
             for unit in engine.units() {
-                costs.push(opd_analyze::unit_cost(
-                    &configs,
-                    unit,
-                    p.total_elements(),
-                    p.site_capacity() as u64,
-                ));
+                costs.push(opd_analyze::unit_cost(&configs, unit, n, sites));
             }
         }
         assert_eq!(costs.len(), 8, "one shared unit per workload");
-        let threads = 4;
-        let plan = lpt_plan(&costs, threads);
-        let loads: Vec<u64> = plan
-            .iter()
-            .map(|bucket| bucket.iter().map(|&i| costs[i]).sum())
-            .collect();
-        let max = *loads.iter().max().unwrap() as f64;
-        let mean = loads.iter().sum::<u64>() as f64 / threads as f64;
+        let loads = bucket_loads(&lpt_plan(&costs, 4), &costs);
+        let ratio = max_over_mean(&loads);
         assert!(
-            max <= mean * 1.15,
+            ratio <= 1.15,
             "LPT imbalance {:.1}% exceeds 15% (loads {loads:?})",
-            (max / mean - 1.0) * 100.0
+            (ratio - 1.0) * 100.0
         );
     }
 
     #[test]
     fn calibrated_lpt_imbalance_stays_small_under_measured_load() {
-        // Satellite check for the calibrated scheduler: build the LPT
-        // plan from the *calibrated* unit prices (static bounds ×
-        // measured judged-step density, measured alphabet), then
-        // re-weigh every bucket with what the units actually cost when
-        // run — metered comparison ops plus the static
-        // window-maintenance part. The heaviest bucket may exceed the
-        // mean by at most 20%. The uncalibrated static plan fails this
-        // measure (BENCH_obs recorded 1.28 before calibration).
+        // Satellite check for the calibrated scheduler: plan from the
+        // *calibrated* unit prices (static bounds × measured
+        // judged-step density, measured alphabet) and re-weigh with
+        // what the units actually cost. The uncalibrated static plan
+        // fails this measure (BENCH_obs recorded 1.28 before
+        // calibration).
         let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000);
         let configs = crate::grid::default_plan_grid();
         let engine = SweepEngine::new(&configs);
-        let mut items = Vec::new();
         let mut calibrated = Vec::new();
-        for (wi, p) in prepared.iter().enumerate() {
-            for (ui, unit) in engine.units().iter().enumerate() {
-                items.push((wi, ui));
+        for p in &prepared {
+            for unit in engine.units() {
                 calibrated.push(calibrated_unit_cost(&configs, unit, p));
             }
         }
-        assert_eq!(items.len(), 8, "one shared unit per workload");
-        // Deterministic measured proxy per item.
-        let measured: Vec<u64> = items
-            .iter()
-            .map(|&(wi, ui)| {
-                let p = &prepared[wi];
-                let mut scratch = SweepScratch::with_site_capacity(p.site_capacity());
-                let mut metrics = opd_obs::UnitMetrics::new();
-                let _ = engine.run_unit_metered(ui, p.interned(), &mut scratch, &mut metrics);
-                let (window, _) = opd_analyze::unit_cost_parts(
-                    &configs,
-                    &engine.units()[ui],
-                    p.total_elements(),
-                    u64::from(p.interned().distinct_count()),
-                );
-                window + metrics.compare_ops
-            })
-            .collect();
-        let threads = 4;
-        let plan = lpt_plan(&calibrated, threads);
-        let loads: Vec<u64> = plan
-            .iter()
-            .map(|bucket| bucket.iter().map(|&i| measured[i]).sum())
-            .collect();
-        let max = *loads.iter().max().unwrap() as f64;
-        let mean = loads.iter().sum::<u64>() as f64 / threads as f64;
-        assert!(
-            max <= mean * 1.20,
-            "calibrated LPT imbalance {:.1}% exceeds 20% (loads {loads:?})",
-            (max / mean - 1.0) * 100.0
-        );
-        // And the calibrated prices must themselves track the measured
-        // loads: a plan built directly from the measured proxy should
-        // not beat the calibrated plan by much on its heaviest bucket.
-        let ideal = lpt_plan(&measured, threads);
-        let ideal_max = ideal
-            .iter()
-            .map(|bucket| bucket.iter().map(|&i| measured[i]).sum::<u64>())
-            .max()
-            .unwrap() as f64;
-        assert!(
-            max <= ideal_max * 1.20,
-            "calibrated plan max {max} vs measured-optimal max {ideal_max}"
-        );
+        assert_eq!(calibrated.len(), 8, "one shared unit per workload");
+        let measured = measured_costs(&prepared, &configs);
+        assert_prices_track_measured_load(&calibrated, &measured, "calibrated");
     }
 
     #[test]
     fn certificates_issue_for_every_workload_and_price_the_sweep() {
         // Certificate-midpoint LPT pricing (the density the parallel
-        // sweep now schedules from) must track the measured load as
-        // well as the probe calibration does: plan from certified
-        // prices, re-weigh with metered costs, max bucket within 20%
-        // of the mean and of the measured-optimal plan.
+        // sweep claims by) must track the measured load as well as the
+        // probe calibration does.
         let prepared = prepare_all(&Workload::ALL, 1, &[1_000], 60_000);
         let configs = crate::grid::default_plan_grid();
         let engine = SweepEngine::new(&configs);
-        let mut items = Vec::new();
         let mut certified = Vec::new();
-        for (wi, p) in prepared.iter().enumerate() {
+        for p in &prepared {
             let certs = p
                 .certificates(&configs)
                 .expect("workload certificates are never vacuous");
@@ -768,50 +758,12 @@ mod tests {
                 assert!(!cert.truncated() || p.fuel() < u64::MAX);
                 assert!(cert.judged_steps().hi() <= cert.steps().hi());
             }
-            for (ui, unit) in engine.units().iter().enumerate() {
-                items.push((wi, ui));
+            for unit in engine.units() {
                 certified.push(certified_unit_cost(&configs, unit, p, &certs));
             }
         }
-        let measured: Vec<u64> = items
-            .iter()
-            .map(|&(wi, ui)| {
-                let p = &prepared[wi];
-                let mut scratch = SweepScratch::with_site_capacity(p.site_capacity());
-                let mut metrics = opd_obs::UnitMetrics::new();
-                let _ = engine.run_unit_metered(ui, p.interned(), &mut scratch, &mut metrics);
-                let (window, _) = opd_analyze::unit_cost_parts(
-                    &configs,
-                    &engine.units()[ui],
-                    p.total_elements(),
-                    u64::from(p.interned().distinct_count()),
-                );
-                window + metrics.compare_ops
-            })
-            .collect();
-        let threads = 4;
-        let plan = lpt_plan(&certified, threads);
-        let loads: Vec<u64> = plan
-            .iter()
-            .map(|bucket| bucket.iter().map(|&i| measured[i]).sum())
-            .collect();
-        let max = *loads.iter().max().unwrap() as f64;
-        let mean = loads.iter().sum::<u64>() as f64 / threads as f64;
-        assert!(
-            max <= mean * 1.20,
-            "certified LPT imbalance {:.1}% exceeds 20% (loads {loads:?})",
-            (max / mean - 1.0) * 100.0
-        );
-        let ideal = lpt_plan(&measured, threads);
-        let ideal_max = ideal
-            .iter()
-            .map(|bucket| bucket.iter().map(|&i| measured[i]).sum::<u64>())
-            .max()
-            .unwrap() as f64;
-        assert!(
-            max <= ideal_max * 1.20,
-            "certified plan max {max} vs measured-optimal max {ideal_max}"
-        );
+        let measured = measured_costs(&prepared, &configs);
+        assert_prices_track_measured_load(&certified, &measured, "certified");
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub struct MutantAudit {
     /// Mutant name.
     pub name: &'static str,
     /// The finding class the auditor must report (`data_race` |
-    /// `lost_update`).
+    /// `lost_update` | `double_claim`).
     pub expected: &'static str,
     /// The object label the finding must name.
     pub object: &'static str,
@@ -127,7 +127,7 @@ pub fn audit_subsystems() -> Vec<SubsystemAudit> {
         ),
         audit_one(
             "runner",
-            models::runner_disjoint_buckets,
+            models::runner_claim_cursor,
             models::runner_expected_objects(),
         ),
         audit_one(
@@ -152,6 +152,9 @@ fn mutant_one(
             let matches = match (&finding.kind, expected) {
                 (FindingKind::DataRace { object: o, .. }, "data_race") => o == object,
                 (FindingKind::LostUpdate { object: o, .. }, "lost_update") => o == object,
+                (FindingKind::CheckFailed { message }, "double_claim") => {
+                    message.strip_suffix(" claimed twice") == Some(object)
+                }
                 _ => false,
             };
             (matches, finding.witness.choices.clone())
@@ -181,10 +184,10 @@ pub fn mutant_audits() -> Vec<MutantAudit> {
             "hits",
         ),
         mutant_one(
-            "runner_overlapping_buckets",
-            models::runner_overlapping_buckets,
-            "data_race",
-            "results[1]",
+            "runner_racy_claim",
+            models::runner_racy_claim,
+            "double_claim",
+            "runs[2]",
         ),
         mutant_one(
             "runner_dropped_join",

@@ -1,7 +1,7 @@
 //! Deterministic schedule exploration and vector-clock race auditing.
 //!
 //! The concurrent pieces of this repository — the sharded metrics
-//! registry, the LPT bucket runner, the checkpoint writer — were
+//! registry, the claim-cursor sweep runner, the checkpoint writer — were
 //! historically verified by "it passed under one OS schedule". This
 //! crate makes concurrency correctness a checked, repeatable analysis:
 //!

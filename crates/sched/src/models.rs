@@ -21,48 +21,85 @@ use std::sync::Arc;
 
 use crate::sync::{check, thread, SyncAtomicU64, SyncCell};
 
-/// Model of the sweep runner's disjoint-bucket protocol
-/// (`crates/experiments/src/runner.rs`): an LPT plan statically
-/// assigns each work item to exactly one bucket, workers fill only
-/// their own result slots, and a shared `Relaxed` progress counter
-/// ticks per item. The invariant: after joining both workers, every
-/// slot holds its item's result and the counter equals the item
-/// count. Disjointness is what makes the `Relaxed` counter and the
-/// unsynchronized slots safe — the joins provide the only
-/// happens-before edges the protocol needs.
-pub fn runner_disjoint_buckets() {
-    // LPT on costs [3, 2, 2] over 2 buckets: bucket 0 <- item 0,
-    // bucket 1 <- items 1, 2 (mirrors `lpt_plan`).
-    const BUCKETS: [&[usize]; 2] = [&[0], &[1, 2]];
-    let slots: Arc<Vec<SyncCell<u64>>> = Arc::new(
-        (0..3)
-            .map(|i| SyncCell::labeled(0u64, format!("results[{i}]")))
+/// Model of the sweep runner's claim-cursor protocol
+/// (`crates/experiments/src/runner.rs`): workers claim item indices
+/// from a shared atomic cursor with a `Relaxed` `fetch_add` until it
+/// passes the item count, record what they ran in worker-local
+/// results, and the main thread merges those results after joining.
+/// A ghost run counter per item checks at claim time that no item is
+/// claimed twice. The invariant: after the joins, every item ran
+/// exactly once and merged exactly once. The `fetch_add`'s atomicity is
+/// the only synchronization the claims need; the joins order the merge.
+pub fn runner_claim_cursor() {
+    claim_sweep(|cursor, runs| {
+        let item = cursor.fetch_add(1, Ordering::Relaxed);
+        note_claim(runs, item);
+        item
+    });
+}
+
+/// Items in the claim-cursor models.
+const CLAIM_ITEMS: usize = 3;
+
+/// Records a claim of `item` in its ghost run counter the moment the
+/// index is read; a second claim of the same item fails the check.
+fn note_claim(runs: &[SyncAtomicU64], item: u64) {
+    if let Some(run) = runs.get(item as usize) {
+        if run.fetch_add(1, Ordering::Relaxed) != 0 {
+            check(false, &format!("runs[{item}] claimed twice"));
+        }
+    }
+}
+
+/// The claim-cursor protocol with `claim(cursor, runs)` as the claim
+/// step.
+fn claim_sweep(claim: fn(&SyncAtomicU64, &[SyncAtomicU64]) -> u64) {
+    let cursor = Arc::new(SyncAtomicU64::labeled(0, "cursor"));
+    let runs: Arc<Vec<SyncAtomicU64>> = Arc::new(
+        (0..CLAIM_ITEMS)
+            .map(|i| SyncAtomicU64::labeled(0, format!("runs[{i}]")))
             .collect(),
     );
-    let progress = Arc::new(SyncAtomicU64::labeled(0, "progress"));
-    let workers: Vec<thread::JoinHandle> = BUCKETS
-        .iter()
-        .map(|bucket| {
-            let slots = Arc::clone(&slots);
-            let progress = Arc::clone(&progress);
+    let locals: Arc<Vec<SyncCell<u64>>> = Arc::new(
+        (0..2)
+            .map(|w| SyncCell::labeled(0u64, format!("local[{w}]")))
+            .collect(),
+    );
+    let workers: Vec<thread::JoinHandle> = (0..2)
+        .map(|w| {
+            let cursor = Arc::clone(&cursor);
+            let runs = Arc::clone(&runs);
+            let locals = Arc::clone(&locals);
             thread::spawn(move || {
-                for &item in *bucket {
-                    slots[item].write(item as u64 + 10);
-                    progress.fetch_add(1, Ordering::Relaxed);
+                // Worker-local results: one bit per item this worker ran.
+                let mut ran = 0u64;
+                loop {
+                    let item = claim(&cursor, &runs) as usize;
+                    if item >= CLAIM_ITEMS {
+                        break;
+                    }
+                    ran |= 1 << item;
                 }
+                locals[w].write(ran);
             })
         })
         .collect();
     for w in workers {
         w.join();
     }
-    for (i, slot) in slots.iter().enumerate() {
-        check(slot.read() == i as u64 + 10, "slot filled exactly once");
+    let mut merged = 0u64;
+    for local in locals.iter() {
+        let ran = local.read();
+        check(merged & ran == 0, "item merged twice");
+        merged |= ran;
     }
-    check(
-        progress.load(Ordering::Relaxed) == 3,
-        "progress counter counts every item",
-    );
+    check(merged == (1 << CLAIM_ITEMS) - 1, "every item merged");
+    for r in runs.iter() {
+        check(
+            r.load(Ordering::Relaxed) == 1,
+            "every item ran exactly once",
+        );
+    }
 }
 
 /// Model of the checkpoint append/flush/longest-valid-prefix protocol
@@ -129,31 +166,24 @@ pub fn metrics_lost_update() {
     }
 }
 
-/// Seeded bug: an off-by-one in the bucket plan makes two workers
-/// share item 1. The auditor reports a
-/// [`crate::FindingKind::DataRace`] on `results[1]` — the disjointness
-/// invariant the real `lpt_plan` guarantees.
-pub fn runner_overlapping_buckets() {
-    const BUCKETS: [&[usize]; 2] = [&[0, 1], &[1, 2]];
-    let slots: Arc<Vec<SyncCell<u64>>> = Arc::new(
-        (0..3)
-            .map(|i| SyncCell::labeled(0u64, format!("results[{i}]")))
-            .collect(),
-    );
-    let workers: Vec<thread::JoinHandle> = BUCKETS
-        .iter()
-        .map(|bucket| {
-            let slots = Arc::clone(&slots);
-            thread::spawn(move || {
-                for &item in *bucket {
-                    slots[item].write(item as u64 + 10);
-                }
-            })
-        })
-        .collect();
-    for w in workers {
-        w.join();
-    }
+/// Seeded bug: the claim is a `load` followed by a `store` (past the
+/// last item, the worker stops without storing) instead of one
+/// `fetch_add`. Two workers can load the same index before either
+/// stores, and both run that item. The auditor reports the
+/// double-claimed item as a [`crate::FindingKind::CheckFailed`]
+/// (`runs[2] claimed twice`) with the interleaving as witness — the
+/// failure the cursor's atomic claim exists to prevent. (The second
+/// store would also be a lost update on `cursor`, but every double
+/// claim is noted before its store, so the claim is what is reported.)
+pub fn runner_racy_claim() {
+    claim_sweep(|cursor, runs| {
+        let item = cursor.load(Ordering::Relaxed);
+        note_claim(runs, item);
+        if (item as usize) < CLAIM_ITEMS {
+            cursor.store(item + 1, Ordering::Relaxed);
+        }
+        item
+    });
 }
 
 /// Seeded bug: the main thread reads result slots *before* joining
@@ -205,8 +235,9 @@ pub fn checkpoint_relaxed_publish() {
 /// the ground truth for the `OPD-R201` (unexplored atomic) lint.
 #[must_use]
 pub fn runner_expected_objects() -> Vec<String> {
-    let mut v: Vec<String> = (0..3).map(|i| format!("results[{i}]")).collect();
-    v.push("progress".to_owned());
+    let mut v = vec!["cursor".to_owned()];
+    v.extend((0..CLAIM_ITEMS).map(|i| format!("runs[{i}]")));
+    v.extend((0..2).map(|w| format!("local[{w}]")));
     v
 }
 

@@ -102,10 +102,10 @@ fn seeds_agree_and_witnesses_replay() {
 /// on a clean model).
 #[test]
 fn preemption_bound_restricts_search() {
-    let unbounded = Explorer::new().explore(models::runner_disjoint_buckets);
+    let unbounded = Explorer::new().explore(models::runner_claim_cursor);
     let mut bounded = Explorer::new();
     bounded.preemption_bound = Some(0);
-    let bounded = bounded.explore(models::runner_disjoint_buckets);
+    let bounded = bounded.explore(models::runner_claim_cursor);
     assert!(unbounded.is_clean(), "{:?}", unbounded.finding);
     assert!(bounded.finding.is_none(), "{:?}", bounded.finding);
     assert!(
@@ -148,7 +148,7 @@ fn check_failure_carries_trace_witness() {
 
 #[test]
 fn runner_model_explores_clean() {
-    let report = Explorer::new().explore(models::runner_disjoint_buckets);
+    let report = Explorer::new().explore(models::runner_claim_cursor);
     assert!(report.is_clean(), "{:?}", report.finding);
     for label in models::runner_expected_objects() {
         assert!(
@@ -156,11 +156,17 @@ fn runner_model_explores_clean() {
             "expected object `{label}` unexplored"
         );
     }
-    // The Relaxed progress counter is genuinely concurrent — that is
-    // the documented contract, not a bug.
-    assert!(report.profile.site("progress").unwrap().concurrent_rw);
-    // Disjoint slots never race and never interleave.
-    assert!(!report.profile.site("results[0]").unwrap().concurrent_rw);
+    // The Relaxed cursor is genuinely concurrent — that is the
+    // documented contract, not a bug: its RMWs are what make claims
+    // unique.
+    assert!(report.profile.site("cursor").unwrap().concurrent_rw);
+    // Each item's run counter and each worker's local results are
+    // touched by one worker (and the post-join merge) only.
+    assert!(!report.profile.site("runs[0]").unwrap().concurrent_rw);
+    assert!(!report.profile.site("local[0]").unwrap().concurrent_rw);
+    // Claims race in every order: more than one schedule survives
+    // partial-order reduction.
+    assert!(report.executions > 1);
 }
 
 #[test]
@@ -194,14 +200,27 @@ fn mutant_lost_update_is_caught() {
 }
 
 #[test]
-fn mutant_overlapping_buckets_is_caught() {
-    let report = Explorer::new().explore(models::runner_overlapping_buckets);
+fn mutant_racy_claim_is_caught_as_a_double_claim() {
+    let report = Explorer::new().explore(models::runner_racy_claim);
     let finding = report.finding.expect("mutant must be caught");
     assert!(
-        matches!(&finding.kind, FindingKind::DataRace { object, .. } if object == "results[1]"),
+        matches!(&finding.kind, FindingKind::CheckFailed { message }
+            if message == "runs[2] claimed twice"),
         "wrong finding: {}",
         finding.kind
     );
+    // The witness replays to the same double claim: both workers load
+    // the cursor before either stores it.
+    let replayed = Explorer::new().replay(models::runner_racy_claim, &finding.witness.choices);
+    let again = replayed.finding.expect("replay reproduces the finding");
+    assert_eq!(again.witness.trace, finding.witness.trace);
+    let rendered = finding.to_string();
+    for worker in ["t1", "t2"] {
+        assert!(
+            rendered.contains(&format!("{worker} load(Relaxed) cursor -> 2")),
+            "{rendered}"
+        );
+    }
 }
 
 #[test]

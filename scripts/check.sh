@@ -9,11 +9,12 @@
 # aggressive hazards), an observability smoke pass (`opd top`,
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
-# BENCH_cert.json freshness), a release-mode kernel-equivalence
-# smoke, the BENCH_kernel.json acceptance/freshness tests, the
-# feature-gate guards keeping opd-core free of opd-obs when `obs` is
-# off, opd-obs free of opd-sched when `sched` is off, and
-# portable-simd out of default builds, plus an optional
+# BENCH_cert.json freshness), release-mode kernel-equivalence and
+# study-equivalence smokes, the BENCH_kernel.json
+# acceptance/freshness tests, the feature-gate guards keeping
+# opd-core free of opd-obs when `obs` is off, opd-obs free of
+# opd-sched when `sched` is off, and portable-simd out of default
+# builds, plus an optional
 # ThreadSanitizer pass when a nightly toolchain is available.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -62,6 +63,10 @@ RUST_BACKTRACE=1 cargo test -q -p opd --test cert_artifact
 # exercises the same differential + proptest suite in debug; release
 # is where the SWAR closed forms actually vectorise).
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernels_agree
+# Study equivalence under release codegen: every paper artifact and
+# extension study renders its pinned text, identically at 1 and 2
+# threads, through the one-sweep-per-artifact scored path.
+RUST_BACKTRACE=1 cargo test -q --release -p opd --test study_equivalence
 # The committed kernel benchmark artifact must be structurally valid,
 # meet the acceptance lines (budget, speedup, identical results), and
 # be fresh for the current grid and workload.

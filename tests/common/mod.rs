@@ -1,9 +1,12 @@
-//! Shared helpers for the CLI and artifact integration tests: a
-//! minimal JSON parser (the workspace's `serde_json` dependency
-//! resolves to an inert offline shim, so machine-readable output is
-//! validated by hand) and a runner for the `opd` binary.
+//! Shared helpers for the integration tests: a minimal JSON parser
+//! (the workspace's `serde_json` dependency resolves to an inert
+//! offline shim, so machine-readable output is validated by hand), a
+//! runner for the `opd` binary, and the counting allocator of the
+//! allocation gates ([`alloc`]).
 
 #![allow(dead_code)] // each test binary uses its own subset
+
+pub mod alloc;
 
 use std::process::{Command, Output};
 

@@ -4,49 +4,19 @@
 //! per-judgement site union — and pre-sizing the site tables from the
 //! static alphabet bound (`reserve_sites`, backed by
 //! `Windows::with_site_capacity`) moves every site-table growth out of
-//! the first run. A counting global allocator wraps the system one;
-//! this file holds only these tests so no concurrent case perturbs
-//! the counter.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+//! the first run. The shared counting allocator counts per thread,
+//! and every measured run happens on the test's own thread, so the
+//! tests stay exact while the harness runs them in parallel.
 
 use opd_core::{DetectorConfig, InternedTrace, KernelKind, ModelPolicy, PhaseDetector};
 use opd_microvm::workloads::Workload;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+mod common;
 
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use common::alloc::{allocations_during, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_during(mut run: impl FnMut()) -> u64 {
-    let before = ALLOCATIONS.load(Relaxed);
-    run();
-    ALLOCATIONS.load(Relaxed) - before
-}
 
 fn workload_branches(fuel: u64) -> opd_trace::BranchTrace {
     let workload = Workload::Lexgen;
@@ -82,7 +52,7 @@ fn swar_steady_state_allocates_nothing_for_every_model() {
         // `reconfigure` clears state but keeps every capacity.
         let _ = detector.run_interned_phases_only(&trace);
         detector.reconfigure(config);
-        let steady = allocations_during(|| {
+        let (_, steady) = allocations_during(|| {
             let _ = detector.run_interned_phases_only(&trace);
         });
         assert_eq!(steady, 0, "{model:?}: SWAR steady state allocated");
@@ -100,7 +70,7 @@ fn scalar_steady_state_allocates_nothing_for_set_models() {
         let mut detector = PhaseDetector::with_kernel(config, KernelKind::Scalar);
         let _ = detector.run_interned_phases_only(&trace);
         detector.reconfigure(config);
-        let steady = allocations_during(|| {
+        let (_, steady) = allocations_during(|| {
             let _ = detector.run_interned_phases_only(&trace);
         });
         assert_eq!(steady, 0, "{model:?}: scalar steady state allocated");
@@ -118,11 +88,11 @@ fn reserving_sites_up_front_moves_growth_out_of_the_first_streaming_run() {
     let branches = workload_branches(20_000);
     let distinct = workload_trace(20_000).distinct_count() as usize;
     let config = config_for(ModelPolicy::WeightedSet);
-    let cold = allocations_during(|| {
+    let (_, cold) = allocations_during(|| {
         let mut detector = PhaseDetector::new(config);
         let _ = detector.run(&branches);
     });
-    let presized = allocations_during(|| {
+    let (_, presized) = allocations_during(|| {
         let mut detector = PhaseDetector::new(config);
         detector.reserve_sites(distinct);
         let _ = detector.run(&branches);
@@ -142,7 +112,7 @@ fn interned_first_runs_size_their_tables_in_one_shot() {
     let trace = workload_trace(20_000);
     let config = config_for(ModelPolicy::WeightedSet);
     for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-        let cold = allocations_during(|| {
+        let (_, cold) = allocations_during(|| {
             let mut detector = PhaseDetector::with_kernel(config, kernel);
             let _ = detector.run_interned_phases_only(&trace);
         });

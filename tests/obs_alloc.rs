@@ -1,50 +1,19 @@
 //! The allocation half of the zero-overhead-when-off claim: a
 //! steady-state detector run through the instrumented path with a
 //! `NullObserver` must allocate exactly as much as the uninstrumented
-//! path — nothing. A counting global allocator wraps the system one;
-//! this file holds a single test so no concurrent test case can
-//! perturb the counter.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+//! path — nothing. The shared counting allocator counts the test
+//! thread's own allocations, where every measured run happens.
 
 use opd_core::{DetectorConfig, InternedTrace, ModelPolicy, PhaseDetector};
 use opd_microvm::workloads::Workload;
 use opd_obs::NullObserver;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+mod common;
 
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use common::alloc::{allocations_during, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_during(mut run: impl FnMut()) -> u64 {
-    let before = ALLOCATIONS.load(Relaxed);
-    run();
-    ALLOCATIONS.load(Relaxed) - before
-}
 
 #[test]
 fn null_observed_steady_state_allocates_nothing() {
@@ -74,13 +43,13 @@ fn null_observed_steady_state_allocates_nothing() {
         let _ = detector.run_interned_phases_observed(&trace, &mut NullObserver);
 
         detector.reconfigure(config);
-        let plain = allocations_during(|| {
+        let (_, plain) = allocations_during(|| {
             let _ = detector.run_interned_phases_only(&trace);
         });
         assert_eq!(plain, 0, "{model:?}: uninstrumented steady state allocated");
 
         detector.reconfigure(config);
-        let observed = allocations_during(|| {
+        let (_, observed) = allocations_during(|| {
             let _ = detector.run_interned_phases_observed(&trace, &mut NullObserver);
         });
         assert_eq!(

@@ -1,16 +1,19 @@
-//! Thread-count independence of the sweep: results and the
-//! deterministic BENCH-artifact fields must be bit-identical across
-//! `--threads 1`, `2`, and `8`. This is the regression test backing
-//! the claim the concurrency audit verifies in the model — workers own
-//! disjoint result buckets and every bucket's content depends only on
-//! its `(workload, unit)` inputs, so the thread plan cannot leak into
-//! the output.
+//! Thread-count independence of the sweep: results, in-worker scores
+//! and the deterministic BENCH-artifact fields must be bit-identical
+//! across `--threads 1`, `2`, and `8`. This is the regression test
+//! backing the claim the concurrency audit verifies in the model —
+//! workers claim each `(workload, unit)` item exactly once from the
+//! shared cursor, keep their results local, and every item's content
+//! depends only on its inputs, so neither the thread count nor the
+//! claim order (the LPT prices) can leak into the output.
 
-use opd_core::DetectorConfig;
+use opd_core::{DetectorConfig, KernelKind, SweepEngine};
 use opd_experiments::checkpoint::{run_fingerprint, sweep_many_checkpointed};
 use opd_experiments::grid::{policy_grid, TwKind};
 use opd_experiments::obs::sweep_many_profiled;
-use opd_experiments::runner::{prepare_all, sweep_many, ConfigRun};
+use opd_experiments::runner::{
+    calibrated_unit_cost, prepare_all, sweep_many, sweep_many_with_kernel, sweep_priced, ConfigRun,
+};
 use opd_microvm::workloads::Workload;
 
 const THREADS: [usize; 3] = [1, 2, 8];
@@ -43,6 +46,72 @@ fn sweep_results_are_bit_identical_across_thread_counts() {
     for &threads in &THREADS[1..] {
         let runs = sweep_many(&prepared, &configs, threads);
         assert_runs_identical(&baseline, &runs, &format!("threads={threads}"));
+    }
+}
+
+#[test]
+fn in_worker_scores_are_bit_identical_across_thread_counts() {
+    // The scored path every paper artifact runs on: each run reduced
+    // to its score bits at two MPLs, inside the worker.
+    let ws = [Workload::Lexgen, Workload::Blockcomp];
+    let mpls = [1_000, 10_000];
+    let prepared = prepare_all(&ws, 1, &mpls, 50_000);
+    let configs = grid();
+    let scored = |threads| {
+        sweep_many_with_kernel(
+            &prepared,
+            &configs,
+            threads,
+            KernelKind::default(),
+            |p, _, run| {
+                mpls.map(|mpl| {
+                    let oracle = p.oracle(mpl);
+                    let detected = run.score(oracle).combined().to_bits();
+                    (detected, run.anchored_score(oracle).combined().to_bits())
+                })
+            },
+        )
+    };
+    let baseline = scored(THREADS[0]);
+    // In-worker scoring must agree with scoring the kept runs.
+    let runs = sweep_many(&prepared, &configs, 2);
+    for ((p, scores), runs) in prepared.iter().zip(&baseline).zip(&runs) {
+        for (s, run) in scores.iter().zip(runs) {
+            assert_eq!(s[0].0, run.score(p.oracle(1_000)).combined().to_bits());
+        }
+    }
+    for &threads in &THREADS[1..] {
+        assert_eq!(
+            scored(threads),
+            baseline,
+            "threads={threads}: scores drifted"
+        );
+    }
+}
+
+#[test]
+fn mispriced_claim_order_changes_speed_only() {
+    // Deliberately wrong LPT prices — the calibrated prices inverted,
+    // so workers claim the cheapest items first — must reorder the
+    // claims without changing a single result, at any thread count.
+    let ws = [Workload::Lexgen, Workload::Blockcomp];
+    let prepared = prepare_all(&ws, 1, &[1_000], 50_000);
+    let configs = grid();
+    let engine = SweepEngine::new(&configs);
+    let inverted: Vec<u64> = prepared
+        .iter()
+        .flat_map(|p| {
+            engine
+                .units()
+                .iter()
+                .map(|unit| u64::MAX - calibrated_unit_cost(&configs, unit, p))
+        })
+        .collect();
+    assert!(inverted.len() > 2, "the grid spreads over several items");
+    let baseline = sweep_many(&prepared, &configs, 1);
+    for &threads in &THREADS {
+        let runs = sweep_priced(&prepared, &engine, &inverted, threads, |_, _, run| run);
+        assert_runs_identical(&baseline, &runs, &format!("mispriced threads={threads}"));
     }
 }
 

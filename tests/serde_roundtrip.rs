@@ -75,6 +75,8 @@ mod serde_formats {
 }
 
 mod checkpoint_format {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
     use opd::core::DetectedPhase;
     use opd_experiments::checkpoint::{
         fnv64, parse_checkpoint, CheckpointError, CHECKPOINT_HEADER_LEN, CHECKPOINT_MAGIC,
@@ -90,9 +92,14 @@ mod checkpoint_format {
         }];
         let runs = vec![(3usize, phases)];
 
+        // One file per call: the harness runs these tests in
+        // parallel, and a shared path lets one test delete another's
+        // image before it is read back.
+        static IMAGES: AtomicUsize = AtomicUsize::new(0);
         let dir = std::env::temp_dir().join("opd_serde_roundtrip_test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("image.ck");
+        let n = IMAGES.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("image_{}_{n}.ck", std::process::id()));
         let mut w = opd_experiments::checkpoint::CheckpointWriter::create(&path, 0xFEED).unwrap();
         w.append_bucket(1, 2, &runs).unwrap();
         drop(w);

@@ -3,53 +3,20 @@
 //! `NullSpanRecorder` must allocate exactly as often as the plain
 //! engine — the `R::ACTIVE` guards compile every span construction,
 //! flight-ring push, and post-mortem dump out of the disabled path.
-//! A counting global allocator wraps the system one; this file holds
-//! a single test so no concurrent test case can perturb the counter
-//! (same pattern as `tests/obs_alloc.rs`).
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+//! The service runs on worker threads, so this gate reads the shared
+//! counting allocator's process-wide tally; the file holds a single
+//! test so no concurrent test case can perturb it.
 
 use opd_experiments::dash::{dash_config, dash_source};
 use opd_obs::NullSpanRecorder;
-use opd_serve::{
-    run_service, run_service_traced, NullSubscriber, ServiceOptions, ServiceReport, TraceConfig,
-};
+use opd_serve::{run_service, run_service_traced, NullSubscriber, ServiceOptions, TraceConfig};
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+mod common;
 
-struct CountingAllocator;
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
+use common::alloc::{process_allocations_during, CountingAllocator};
 
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-fn allocations_during(mut run: impl FnMut() -> ServiceReport) -> (ServiceReport, u64) {
-    let before = ALLOCATIONS.load(Relaxed);
-    let report = run();
-    let count = ALLOCATIONS.load(Relaxed) - before;
-    (report, count)
-}
 
 #[test]
 fn null_span_traced_service_allocates_exactly_like_plain() {
@@ -76,16 +43,18 @@ fn null_span_traced_service_allocates_exactly_like_plain() {
     // allocation determinism before comparing against it.
     let _ = run_service(&config, &source, &options).expect("plain soak runs");
     let _ = traced();
-    let (plain_report, plain) =
-        allocations_during(|| run_service(&config, &source, &options).expect("plain soak runs"));
-    let (_, plain_again) =
-        allocations_during(|| run_service(&config, &source, &options).expect("plain soak runs"));
+    let (plain_report, plain) = process_allocations_during(|| {
+        run_service(&config, &source, &options).expect("plain soak runs")
+    });
+    let (_, plain_again) = process_allocations_during(|| {
+        run_service(&config, &source, &options).expect("plain soak runs")
+    });
     assert_eq!(
         plain, plain_again,
         "the plain engine must allocate deterministically for this gate to mean anything"
     );
 
-    let (traced_report, instrumented) = allocations_during(traced);
+    let (traced_report, instrumented) = process_allocations_during(traced);
     assert_eq!(
         plain_report, traced_report,
         "traced-null and plain runs must be bit-identical"
