@@ -2,14 +2,17 @@
 
 use std::collections::HashMap;
 
-use opd_trace::{BranchTrace, PhaseState, ProfileElement, StateSeq};
+use opd_trace::{
+    BranchTrace, DetectorEvent, DetectorObserver, NullObserver, PhaseState, ProfileElement,
+    ResizeKind, StateSeq,
+};
 
 use crate::analyzer::Analyzer;
 use crate::boundary::DetectedPhase;
 use crate::config::DetectorConfig;
 use crate::intern::InternedTrace;
 use crate::kernel::{KernelKind, SwarKernelState, SwarWindows, WindowKernel};
-use crate::window::{TwPolicy, Windows};
+use crate::window::{ResizePolicy, TwPolicy, Windows};
 
 /// Error returned by the fallible detector entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -89,17 +92,51 @@ impl DetectorCore {
         self.config.tw_policy() == TwPolicy::Adaptive && self.state.is_phase()
     }
 
-    fn finish_step<K: WindowKernel>(&mut self, windows: &mut K, step_len: usize) -> PhaseState {
+    /// One state-machine step after the windows consumed `step_len`
+    /// elements: judge, apply the Figure 3 phase start/end actions, and
+    /// emit step `step`'s events into `observer` (every emission is
+    /// guarded by `O::ACTIVE`, so [`NullObserver`] compiles them out).
+    fn finish_step<K: WindowKernel, O: DetectorObserver>(
+        &mut self,
+        windows: &mut K,
+        step_len: usize,
+        step: u64,
+        observer: &mut O,
+    ) -> PhaseState {
         let step_start = self.consumed;
         self.consumed += step_len as u64;
 
-        let new_state = if windows.is_warm() {
+        let warm = windows.is_warm();
+        if O::ACTIVE {
+            observer.on_event(&DetectorEvent::Step {
+                step,
+                start: step_start,
+                len: step_len as u32,
+                warm,
+            });
+        }
+        let new_state = if warm {
             let sim = windows.similarity(self.config.model());
             self.last_similarity = Some(sim);
+            if O::ACTIVE {
+                observer.on_event(&DetectorEvent::Similarity {
+                    step,
+                    value: sim,
+                    threshold: self.analyzer.effective_threshold(),
+                    ops: windows.judge_ops(self.config.model()),
+                });
+            }
             self.analyzer.judge(sim)
         } else {
             PhaseState::Transition
         };
+        if O::ACTIVE {
+            observer.on_event(&DetectorEvent::Decision {
+                step,
+                prev: self.state,
+                state: new_state,
+            });
+        }
 
         match (self.state, new_state) {
             (PhaseState::Transition, PhaseState::Phase) => {
@@ -108,11 +145,29 @@ impl DetectorCore {
                 // phase statistics.
                 let anchor_idx = windows.anchor_index(self.config.anchor());
                 let anchored_start = if self.config.tw_policy() == TwPolicy::Adaptive {
-                    windows.anchor_and_resize(anchor_idx, self.config.resize())
+                    let offset = windows.anchor_and_resize(anchor_idx, self.config.resize());
+                    if O::ACTIVE {
+                        observer.on_event(&DetectorEvent::WindowResize {
+                            step,
+                            kind: match self.config.resize() {
+                                ResizePolicy::Slide => ResizeKind::Slide,
+                                ResizePolicy::Move => ResizeKind::Move,
+                            },
+                            tw_len: windows.tw_len() as u64,
+                        });
+                    }
+                    offset
                 } else {
                     windows.offset_of_index(anchor_idx)
                 };
                 self.analyzer.reset();
+                if O::ACTIVE {
+                    observer.on_event(&DetectorEvent::PhaseStart {
+                        step,
+                        start: step_start,
+                        anchored_start,
+                    });
+                }
                 self.phases.push(DetectedPhase {
                     start: step_start,
                     anchored_start,
@@ -123,6 +178,16 @@ impl DetectorCore {
                 // End of a phase: flush the windows, re-seeding the CW
                 // with this step's elements.
                 windows.clear_keep_last(self.config.skip_factor());
+                if O::ACTIVE {
+                    observer.on_event(&DetectorEvent::PhaseEnd {
+                        step,
+                        end: step_start,
+                    });
+                    observer.on_event(&DetectorEvent::WindowFlush {
+                        step,
+                        kept: self.config.skip_factor() as u32,
+                    });
+                }
                 if let Some(open) = self.phases.last_mut() {
                     open.end = Some(step_start);
                 }
@@ -150,18 +215,32 @@ impl DetectorCore {
 }
 
 /// The chunk loop of an interned-trace run: one kernel advance and one
-/// state-machine step per `skip_factor` elements.
-fn drive<K: WindowKernel, S: StateSink>(
+/// state-machine step per `skip_factor` elements. A phase still open at
+/// the end of the trace is closed there (with a final `PhaseEnd` event).
+fn drive<K: WindowKernel, S: StateSink, O: DetectorObserver>(
     core: &mut DetectorCore,
     windows: &mut K,
     trace: &InternedTrace,
     sink: &mut S,
+    observer: &mut O,
 ) {
+    let mut step = 0u64;
     for chunk in trace.ids().chunks(core.config.skip_factor()) {
         let tw_grows = core.tw_grows();
         windows.advance(chunk, tw_grows);
-        let state = core.finish_step(windows, chunk.len());
+        let state = core.finish_step(windows, chunk.len(), step, observer);
         sink.record(state, chunk.len());
+        step += 1;
+    }
+    if O::ACTIVE {
+        if let Some(open) = core.phases.last() {
+            if open.end.is_none() {
+                observer.on_event(&DetectorEvent::PhaseEnd {
+                    step,
+                    end: core.consumed,
+                });
+            }
+        }
     }
     core.close_open_phase();
 }
@@ -329,7 +408,9 @@ impl PhaseDetector {
             let id = *self.interner.entry(e.raw()).or_insert(next);
             self.windows.push(id, tw_grows);
         }
-        self.core.finish_step(&mut self.windows, elements.len())
+        // Streaming steps emit no events, so the step index is unused.
+        self.core
+            .finish_step(&mut self.windows, elements.len(), 0, &mut NullObserver)
     }
 
     /// Like [`process`](PhaseDetector::process), but rejects an empty
@@ -383,10 +464,23 @@ impl PhaseDetector {
     /// path: nothing is allocated per element, only the detected phase
     /// list grows (one entry per phase).
     pub fn run_interned_with<S: StateSink>(&mut self, trace: &InternedTrace, sink: &mut S) {
+        self.run_interned_with_observer(trace, sink, &mut NullObserver);
+    }
+
+    /// Like [`run_interned_with`](PhaseDetector::run_interned_with),
+    /// but emitting structured [`DetectorEvent`]s into `observer`. This
+    /// is the one interned run body: the plain paths are its
+    /// [`NullObserver`] instantiation.
+    pub fn run_interned_with_observer<S: StateSink, O: DetectorObserver>(
+        &mut self,
+        trace: &InternedTrace,
+        sink: &mut S,
+        observer: &mut O,
+    ) {
         match self.kernel {
             KernelKind::Scalar => {
                 self.windows.ensure_sites(trace.distinct_count() as usize);
-                drive(&mut self.core, &mut self.windows, trace, sink);
+                drive(&mut self.core, &mut self.windows, trace, sink, observer);
             }
             KernelKind::Swar => {
                 let config = &self.core.config;
@@ -396,7 +490,7 @@ impl PhaseDetector {
                     config.trailing_window(),
                 );
                 let mut windows = SwarWindows::begin(&mut self.swar, trace, skip, cw, tw);
-                drive(&mut self.core, &mut windows, trace, sink);
+                drive(&mut self.core, &mut windows, trace, sink, observer);
             }
         }
     }
@@ -405,7 +499,18 @@ impl PhaseDetector {
     /// returns the detected phases — the cheap path for parameter
     /// sweeps that only score phase intervals.
     pub fn run_interned_phases_only(&mut self, trace: &InternedTrace) -> &[DetectedPhase] {
-        self.run_interned_with(trace, &mut NullSink);
+        self.run_interned_phases_observed(trace, &mut NullObserver)
+    }
+
+    /// Like
+    /// [`run_interned_phases_only`](PhaseDetector::run_interned_phases_only),
+    /// but observed — the instrumented zero-allocation sweep path.
+    pub fn run_interned_phases_observed<O: DetectorObserver>(
+        &mut self,
+        trace: &InternedTrace,
+        observer: &mut O,
+    ) -> &[DetectedPhase] {
+        self.run_interned_with_observer(trace, &mut NullSink, observer);
         self.detected_phases()
     }
 
@@ -442,204 +547,6 @@ impl PhaseDetector {
     /// element count as its end.
     pub fn close_open_phase(&mut self) {
         self.core.close_open_phase();
-    }
-}
-
-/// The instrumented twins of the detector's run paths, available with
-/// the `obs` feature.
-///
-/// Each twin duplicates its uninstrumented counterpart's state
-/// machine and adds event emission guarded by
-/// [`DetectorObserver::ACTIVE`] — with [`opd_obs::NullObserver`] the
-/// guards are compile-time `false`, so the twin monomorphizes back to
-/// the plain path (the observer-equivalence suite asserts the results
-/// are bit-identical and the steady state allocation-free). Keep any
-/// change to [`drive`] or [`DetectorCore::finish_step`] mirrored in
-/// the observed twins; the equivalence suite fails loudly if they
-/// drift.
-#[cfg(feature = "obs")]
-impl DetectorCore {
-    /// `finish_step` with event emission; the state transitions are a
-    /// line-for-line mirror of [`finish_step`](Self::finish_step).
-    fn finish_step_observed<K: WindowKernel, O: opd_obs::DetectorObserver>(
-        &mut self,
-        windows: &mut K,
-        step_len: usize,
-        step: u64,
-        observer: &mut O,
-    ) -> PhaseState {
-        use opd_obs::DetectorEvent;
-
-        let step_start = self.consumed;
-        self.consumed += step_len as u64;
-
-        let warm = windows.is_warm();
-        if O::ACTIVE {
-            observer.on_event(&DetectorEvent::Step {
-                step,
-                start: step_start,
-                len: step_len as u32,
-                warm,
-            });
-        }
-        let new_state = if warm {
-            let sim = windows.similarity(self.config.model());
-            self.last_similarity = Some(sim);
-            if O::ACTIVE {
-                observer.on_event(&DetectorEvent::Similarity {
-                    step,
-                    value: sim,
-                    threshold: self.analyzer.effective_threshold(),
-                    ops: windows.judge_ops(self.config.model()),
-                });
-            }
-            self.analyzer.judge(sim)
-        } else {
-            PhaseState::Transition
-        };
-        if O::ACTIVE {
-            observer.on_event(&DetectorEvent::Decision {
-                step,
-                prev: self.state,
-                state: new_state,
-            });
-        }
-
-        match (self.state, new_state) {
-            (PhaseState::Transition, PhaseState::Phase) => {
-                let anchor_idx = windows.anchor_index(self.config.anchor());
-                let anchored_start = if self.config.tw_policy() == TwPolicy::Adaptive {
-                    let offset = windows.anchor_and_resize(anchor_idx, self.config.resize());
-                    if O::ACTIVE {
-                        observer.on_event(&DetectorEvent::WindowResize {
-                            step,
-                            kind: match self.config.resize() {
-                                crate::ResizePolicy::Slide => opd_obs::ResizeKind::Slide,
-                                crate::ResizePolicy::Move => opd_obs::ResizeKind::Move,
-                            },
-                            tw_len: windows.tw_len() as u64,
-                        });
-                    }
-                    offset
-                } else {
-                    windows.offset_of_index(anchor_idx)
-                };
-                self.analyzer.reset();
-                if O::ACTIVE {
-                    observer.on_event(&DetectorEvent::PhaseStart {
-                        step,
-                        start: step_start,
-                        anchored_start,
-                    });
-                }
-                self.phases.push(DetectedPhase {
-                    start: step_start,
-                    anchored_start,
-                    end: None,
-                });
-            }
-            (PhaseState::Phase, PhaseState::Transition) => {
-                windows.clear_keep_last(self.config.skip_factor());
-                if O::ACTIVE {
-                    observer.on_event(&DetectorEvent::PhaseEnd {
-                        step,
-                        end: step_start,
-                    });
-                    observer.on_event(&DetectorEvent::WindowFlush {
-                        step,
-                        kept: self.config.skip_factor() as u32,
-                    });
-                }
-                if let Some(open) = self.phases.last_mut() {
-                    open.end = Some(step_start);
-                }
-            }
-            (PhaseState::Phase, PhaseState::Phase) => {
-                if let Some(sim) = self.last_similarity {
-                    self.analyzer.update(sim);
-                }
-            }
-            (PhaseState::Transition, PhaseState::Transition) => {}
-        }
-
-        self.state = new_state;
-        new_state
-    }
-}
-
-/// The observed twin of [`drive`].
-#[cfg(feature = "obs")]
-fn drive_observed<K, S, O>(
-    core: &mut DetectorCore,
-    windows: &mut K,
-    trace: &InternedTrace,
-    sink: &mut S,
-    observer: &mut O,
-) where
-    K: WindowKernel,
-    S: StateSink,
-    O: opd_obs::DetectorObserver,
-{
-    let mut step = 0u64;
-    for chunk in trace.ids().chunks(core.config.skip_factor()) {
-        let tw_grows = core.tw_grows();
-        windows.advance(chunk, tw_grows);
-        let state = core.finish_step_observed(windows, chunk.len(), step, observer);
-        sink.record(state, chunk.len());
-        step += 1;
-    }
-    if O::ACTIVE {
-        if let Some(open) = core.phases.last() {
-            if open.end.is_none() {
-                observer.on_event(&opd_obs::DetectorEvent::PhaseEnd {
-                    step,
-                    end: core.consumed,
-                });
-            }
-        }
-    }
-    core.close_open_phase();
-}
-
-#[cfg(feature = "obs")]
-impl PhaseDetector {
-    /// Like [`run_interned_with`](PhaseDetector::run_interned_with),
-    /// but emitting structured [`DetectorEvent`](opd_obs::DetectorEvent)s
-    /// into `observer`.
-    pub fn run_interned_with_observer<S: StateSink, O: opd_obs::DetectorObserver>(
-        &mut self,
-        trace: &InternedTrace,
-        sink: &mut S,
-        observer: &mut O,
-    ) {
-        match self.kernel {
-            KernelKind::Scalar => {
-                self.windows.ensure_sites(trace.distinct_count() as usize);
-                drive_observed(&mut self.core, &mut self.windows, trace, sink, observer);
-            }
-            KernelKind::Swar => {
-                let config = &self.core.config;
-                let (skip, cw, tw) = (
-                    config.skip_factor(),
-                    config.current_window(),
-                    config.trailing_window(),
-                );
-                let mut windows = SwarWindows::begin(&mut self.swar, trace, skip, cw, tw);
-                drive_observed(&mut self.core, &mut windows, trace, sink, observer);
-            }
-        }
-    }
-
-    /// Like
-    /// [`run_interned_phases_only`](PhaseDetector::run_interned_phases_only),
-    /// but observed — the instrumented zero-allocation sweep path.
-    pub fn run_interned_phases_observed<O: opd_obs::DetectorObserver>(
-        &mut self,
-        trace: &InternedTrace,
-        observer: &mut O,
-    ) -> &[DetectedPhase] {
-        self.run_interned_with_observer(trace, &mut NullSink, observer);
-        self.detected_phases()
     }
 }
 

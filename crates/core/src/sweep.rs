@@ -105,7 +105,7 @@
 
 use std::collections::HashMap;
 
-use opd_trace::PhaseState;
+use opd_trace::{DetectorEvent, DetectorObserver, NullObserver, PhaseState};
 
 use crate::analyzer::Analyzer;
 use crate::boundary::DetectedPhase;
@@ -375,31 +375,35 @@ impl<'a> SweepEngine<'a> {
                 unit_index,
                 units: self.units.len(),
             })?;
-        Ok(match unit.kind {
-            UnitKind::SharedConstant => run_shared_group(
-                self.configs,
-                &unit.config_indices,
-                trace,
-                scratch,
-                self.kernel,
-            ),
-            UnitKind::SharedAdaptive => run_shared_adaptive_group(
-                self.configs,
-                &unit.config_indices,
-                trace,
-                scratch,
-                self.kernel,
-            ),
+        Ok(self.run_unit_observed(unit, trace, scratch, &mut NullObserver))
+    }
+
+    /// The one unit body behind [`run_unit`](Self::run_unit) (the
+    /// [`NullObserver`] instantiation) and the metered path. Shared
+    /// scans emit one `Step` event per step and one `Similarity` event
+    /// per judged member; private members emit their detector's full
+    /// event stream.
+    fn run_unit_observed<O: DetectorObserver>(
+        &self,
+        unit: &SweepUnit,
+        trace: &InternedTrace,
+        scratch: &mut SweepScratch,
+        observer: &mut O,
+    ) -> Vec<(usize, Vec<DetectedPhase>)> {
+        match unit.kind {
+            UnitKind::SharedConstant | UnitKind::SharedAdaptive => {
+                run_shared_unit(self.configs, unit, trace, scratch, self.kernel, observer)
+            }
             UnitKind::Private => unit
                 .config_indices
                 .iter()
                 .map(|&i| {
                     let detector = scratch.detector_for(self.configs[i], self.kernel);
-                    let _ = detector.run_interned_phases_only(trace);
+                    let _ = detector.run_interned_phases_observed(trace, observer);
                     (i, detector.take_phases())
                 })
                 .collect(),
-        })
+        }
     }
 
     /// Runs the whole plan sequentially, returning phases in config
@@ -417,17 +421,16 @@ impl<'a> SweepEngine<'a> {
     }
 }
 
-/// The instrumented sweep entry point, available with the `obs`
-/// feature. Metering duplicates the unmetered scan loops (guarded by
-/// the observer-equivalence suite) so [`SweepEngine::run_unit`] stays
-/// untouched and overhead-free.
+/// The metered sweep entry point, available with the `obs` feature.
 #[cfg(feature = "obs")]
 impl SweepEngine<'_> {
     /// [`run_unit`](Self::run_unit) plus accounting: accumulates what
     /// the unit actually did (scans, steps, judged steps, comparison
     /// ops, elements) into `metrics`, for cross-checking against the
     /// static cost model's bounds. Results are identical to
-    /// `run_unit`'s.
+    /// `run_unit`'s: both run the same body, here with a
+    /// [`MeterObserver`](opd_obs::MeterObserver) in place of the null
+    /// observer.
     ///
     /// # Panics
     ///
@@ -441,37 +444,66 @@ impl SweepEngine<'_> {
         metrics: &mut opd_obs::UnitMetrics,
     ) -> Vec<(usize, Vec<DetectedPhase>)> {
         let unit = &self.units[unit_index];
-        match unit.kind {
-            UnitKind::SharedConstant => run_shared_group_metered(
-                self.configs,
-                &unit.config_indices,
-                trace,
-                scratch,
-                self.kernel,
-                metrics,
-            ),
-            UnitKind::SharedAdaptive => run_shared_adaptive_group_metered(
-                self.configs,
-                &unit.config_indices,
-                trace,
-                scratch,
-                self.kernel,
-                metrics,
-            ),
-            UnitKind::Private => unit
-                .config_indices
-                .iter()
-                .map(|&i| {
-                    let detector = scratch.detector_for(self.configs[i], self.kernel);
-                    let mut meter = opd_obs::MeterObserver::new();
-                    let _ = detector.run_interned_phases_observed(trace, &mut meter);
-                    metrics.scans += 1;
-                    metrics.elements += trace.len() as u64;
-                    metrics.merge(&meter.metrics);
-                    (i, detector.take_phases())
-                })
-                .collect(),
-        }
+        let mut meter = opd_obs::MeterObserver::new();
+        let results = self.run_unit_observed(unit, trace, scratch, &mut meter);
+        let scans = unit.scans() as u64;
+        metrics.scans += scans;
+        metrics.elements += scans * trace.len() as u64;
+        metrics.merge(&meter.metrics);
+        results
+    }
+}
+
+/// Comparison ops a shared-scan member pays when it judges a similarity
+/// another member already computed this step: only the analyzer's
+/// fixed judge overhead.
+const MEMO_HIT_OPS: u64 = 2;
+
+/// Emits a shared-scan member's `Similarity` event. A fresh model-slot
+/// computation charges the kernel's full runtime comparison cost; a
+/// memo hit charges [`MEMO_HIT_OPS`]. Each fresh computation is
+/// attributable to the distinct member that triggered it (a member
+/// judges exactly one window state per step), so shared-scan
+/// comparison ops stay at or below the static per-member bound.
+#[inline(always)]
+fn observe_similarity<O: DetectorObserver, K: WindowKernel>(
+    observer: &mut O,
+    windows: &K,
+    member: &Member,
+    step: u64,
+    value: f64,
+    fresh: bool,
+) {
+    if O::ACTIVE {
+        observer.on_event(&DetectorEvent::Similarity {
+            step,
+            value,
+            threshold: member.analyzer.effective_threshold(),
+            ops: if fresh {
+                windows.judge_ops(member.config.model())
+            } else {
+                MEMO_HIT_OPS
+            },
+        });
+    }
+}
+
+/// Emits a shared scan's per-step `Step` event.
+#[inline(always)]
+fn observe_step<O: DetectorObserver>(
+    observer: &mut O,
+    step: u64,
+    start: u64,
+    len: usize,
+    warm: bool,
+) {
+    if O::ACTIVE {
+        observer.on_event(&DetectorEvent::Step {
+            step,
+            start,
+            len: len as u32,
+            warm,
+        });
     }
 }
 
@@ -483,12 +515,21 @@ fn model_slot(model: ModelPolicy) -> usize {
     }
 }
 
+/// A member's slot when it currently judges the shared windows (not a
+/// phase class).
+const NO_CLASS: usize = usize::MAX;
+
 /// A member config's cheap residue state within a shared scan.
 struct Member {
     config_index: usize,
     config: DetectorConfig,
     analyzer: Analyzer,
     state: PhaseState,
+    /// In a forking (Adaptive-TW) scan: index into the scan's class
+    /// table while in Phase, [`NO_CLASS`] while in Transition (judging
+    /// the shared FIFO). Constant-TW scans never fork and leave it at
+    /// [`NO_CLASS`].
+    class: usize,
     /// Element count from which this member's (virtual) private
     /// windows are full again after its last flush; warm iff the
     /// shared windows are warm and `consumed >= warm_from`.
@@ -496,11 +537,24 @@ struct Member {
     phases: Vec<DetectedPhase>,
 }
 
-/// Builds the member residue states of a shared group and checks the
-/// shared-path invariants: the planner only groups shareable configs
-/// of identical shape, and sharing is exact only when a flush's kept
-/// elements fit in the CW (`skip <= cw`, module docs).
-fn shared_members(configs: &[DetectorConfig], member_indices: &[usize]) -> Vec<Member> {
+/// One scan of `trace` evaluating every member of a shared unit,
+/// dispatched to the engine's kernel: a Constant-TW group against
+/// shared windows, or an Adaptive-TW group against a shared FIFO with
+/// copy-on-phase-entry forks. See the module docs for the exactness
+/// argument; the debug checks below are its preconditions (the
+/// planner only groups configs shareable under the unit's TW policy
+/// and of identical shape, and sharing is exact only when a flush's
+/// kept elements fit in the CW, `skip <= cw`).
+fn run_shared_unit<O: DetectorObserver>(
+    configs: &[DetectorConfig],
+    unit: &SweepUnit,
+    trace: &InternedTrace,
+    scratch: &mut SweepScratch,
+    kernel: KernelKind,
+    observer: &mut O,
+) -> Vec<(usize, Vec<DetectedPhase>)> {
+    let member_indices = &unit.config_indices;
+    let adaptive = unit.kind == UnitKind::SharedAdaptive;
     let first = &configs[member_indices[0]];
     let (cw, tw, skip) = (
         first.current_window(),
@@ -511,43 +565,27 @@ fn shared_members(configs: &[DetectorConfig], member_indices: &[usize]) -> Vec<M
     debug_assert!(skip <= cw, "shared scan requires skip <= cw");
     debug_assert!(
         member_indices.iter().all(|&i| {
-            configs[i].shares_windows()
-                && configs[i].current_window() == cw
-                && configs[i].trailing_window() == tw
-                && configs[i].skip_factor() == skip
+            let shareable = if adaptive {
+                configs[i].shares_windows_adaptively()
+            } else {
+                configs[i].shares_windows()
+            };
+            shareable && configs[i].shape() == first.shape()
         }),
-        "shared group members must be shareable and same-shape"
+        "shared unit members must be shareable under the unit's TW policy and same-shape"
     );
-    member_indices
+    let members: Vec<Member> = member_indices
         .iter()
         .map(|&i| Member {
             config_index: i,
             config: configs[i],
             analyzer: Analyzer::new(configs[i].analyzer()),
             state: PhaseState::Transition,
+            class: NO_CLASS,
             warm_from: 0,
             phases: Vec::new(),
         })
-        .collect()
-}
-
-/// One scan of `trace` evaluating every member of a same-shape
-/// Constant-TW group against shared windows, dispatched to the
-/// engine's kernel. See the module docs for the exactness argument.
-fn run_shared_group(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
-    );
-    let members = shared_members(configs, member_indices);
+        .collect();
     let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
     match kernel {
         KernelKind::Scalar => {
@@ -555,24 +593,49 @@ fn run_shared_group(
                 .iter()
                 .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
             let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            run_shared_group_scan(members, trace, skip, &mut windows)
+            if adaptive {
+                run_shared_adaptive_scan(members, trace, skip, &mut windows, observer)
+            } else {
+                run_shared_group_scan(members, trace, skip, &mut windows, observer)
+            }
         }
         KernelKind::Swar => {
             scratch.shared_swar.ensure_sites(sites);
             let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            run_shared_group_scan(members, trace, skip, &mut windows)
+            if adaptive {
+                run_shared_adaptive_scan(members, trace, skip, &mut windows, observer)
+            } else {
+                run_shared_group_scan(members, trace, skip, &mut windows, observer)
+            }
         }
     }
+}
+
+/// Closes every member's phase still open at the end of a scan of
+/// `consumed` elements and returns `(config index, phases)` per member.
+fn close_members(members: Vec<Member>, consumed: u64) -> Vec<(usize, Vec<DetectedPhase>)> {
+    members
+        .into_iter()
+        .map(|mut m| {
+            if let Some(open) = m.phases.last_mut() {
+                if open.end.is_none() {
+                    open.end = Some(consumed);
+                }
+            }
+            (m.config_index, m.phases)
+        })
+        .collect()
 }
 
 /// The kernel-generic shared scan loop: one window advance per step,
 /// every member evaluating only its cheap residue against the memoized
 /// per-model similarities.
-fn run_shared_group_scan<K: WindowKernel>(
+fn run_shared_group_scan<K: WindowKernel, O: DetectorObserver>(
     mut members: Vec<Member>,
     trace: &InternedTrace,
     skip: usize,
     windows: &mut K,
+    observer: &mut O,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
     // After a flush keeps `skip` elements, a private window is full
@@ -582,19 +645,22 @@ fn run_shared_group_scan<K: WindowKernel>(
     // Per-step memo of each distinct model's similarity against the
     // shared windows: computed once per step, judged by every member.
     let mut sims = [0.0f64; 3];
-    for chunk in trace.ids().chunks(skip) {
+    for (step, chunk) in (0u64..).zip(trace.ids().chunks(skip)) {
         windows.advance(chunk, false);
         let step_start = consumed;
         consumed += chunk.len() as u64;
         let shared_warm = windows.is_warm();
+        observe_step(observer, step, step_start, chunk.len(), shared_warm);
         let mut have = [false; 3];
         for m in &mut members {
             let (new_state, sim) = if shared_warm && consumed >= m.warm_from {
                 let slot = model_slot(m.config.model());
-                if !have[slot] {
+                let fresh = !have[slot];
+                if fresh {
                     sims[slot] = windows.similarity(m.config.model());
                     have[slot] = true;
                 }
+                observe_similarity(observer, windows, m, step, sims[slot], fresh);
                 (m.analyzer.judge(sims[slot]), sims[slot])
             } else {
                 (PhaseState::Transition, 0.0)
@@ -628,37 +694,7 @@ fn run_shared_group_scan<K: WindowKernel>(
             m.state = new_state;
         }
     }
-    members
-        .into_iter()
-        .map(|mut m| {
-            if let Some(open) = m.phases.last_mut() {
-                if open.end.is_none() {
-                    open.end = Some(consumed);
-                }
-            }
-            (m.config_index, m.phases)
-        })
-        .collect()
-}
-
-/// A member's slot when it currently judges the shared FIFO (not a
-/// phase class).
-const NO_CLASS: usize = usize::MAX;
-
-/// A member config's residue state within a forking adaptive scan.
-struct AdaptiveMember {
-    config_index: usize,
-    config: DetectorConfig,
-    analyzer: Analyzer,
-    state: PhaseState,
-    /// Index into the scan's class table while in Phase; [`NO_CLASS`]
-    /// while in Transition (judging the shared FIFO).
-    class: usize,
-    /// As in [`Member`]: element count from which this member's
-    /// (virtual) private windows are full again after its last
-    /// phase-exit flush.
-    warm_from: u64,
-    phases: Vec<DetectedPhase>,
+    close_members(members, consumed)
 }
 
 /// One forked window state shared by every member that entered a
@@ -679,85 +715,16 @@ fn anchor_slot(policy: AnchorPolicy) -> usize {
     }
 }
 
-/// Builds the member residue states of an adaptive shape group,
-/// checking the forking-scan invariants (adaptively shareable,
-/// identical shape).
-fn adaptive_members(configs: &[DetectorConfig], member_indices: &[usize]) -> Vec<AdaptiveMember> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
-    );
-    debug_assert!(skip >= 1 && cw >= 1 && tw >= 1, "windows have capacity");
-    debug_assert!(skip <= cw, "shared scan requires skip <= cw");
-    debug_assert!(
-        member_indices.iter().all(|&i| {
-            configs[i].shares_windows_adaptively()
-                && configs[i].current_window() == cw
-                && configs[i].trailing_window() == tw
-                && configs[i].skip_factor() == skip
-        }),
-        "adaptive group members must be adaptively shareable and same-shape"
-    );
-    member_indices
-        .iter()
-        .map(|&i| AdaptiveMember {
-            config_index: i,
-            config: configs[i],
-            analyzer: Analyzer::new(configs[i].analyzer()),
-            state: PhaseState::Transition,
-            class: NO_CLASS,
-            warm_from: 0,
-            phases: Vec::new(),
-        })
-        .collect()
-}
-
-/// One scan of `trace` evaluating every member of a same-shape
-/// Adaptive-TW group against a shared FIFO with copy-on-phase-entry
-/// forks, dispatched to the engine's kernel. See the module docs for
-/// the exactness argument.
-fn run_shared_adaptive_group(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
-    );
-    let members = adaptive_members(configs, member_indices);
-    let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
-    match kernel {
-        KernelKind::Scalar => {
-            let track = member_indices
-                .iter()
-                .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
-            let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            run_shared_adaptive_scan(members, trace, skip, &mut windows)
-        }
-        KernelKind::Swar => {
-            scratch.shared_swar.ensure_sites(sites);
-            let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            run_shared_adaptive_scan(members, trace, skip, &mut windows)
-        }
-    }
-}
-
 /// The kernel-generic forking scan loop: one FIFO advance plus one
 /// advance per live phase class per step, every member judging either
 /// the memoized FIFO similarities (in Transition) or its class's (in
 /// Phase).
-fn run_shared_adaptive_scan<K: ForkableKernel>(
-    mut members: Vec<AdaptiveMember>,
+fn run_shared_adaptive_scan<K: ForkableKernel, O: DetectorObserver>(
+    mut members: Vec<Member>,
     trace: &InternedTrace,
     skip: usize,
     fifo: &mut K,
+    observer: &mut O,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
     let refill = (first.current_window() + first.trailing_window() - skip) as u64;
@@ -768,7 +735,7 @@ fn run_shared_adaptive_scan<K: ForkableKernel>(
     let mut classes: Vec<PhaseClass<K::Forked>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut fifo_sims = [0.0f64; 3];
-    for chunk in trace.ids().chunks(skip) {
+    for (step, chunk) in (0u64..).zip(trace.ids().chunks(skip)) {
         // Members still in a phase pushed this step's elements with
         // TW growth (they were in Phase when the step began); the
         // class advance must precede the member loop for the same
@@ -783,6 +750,7 @@ fn run_shared_adaptive_scan<K: ForkableKernel>(
         let step_start = consumed;
         consumed += chunk.len() as u64;
         let fifo_warm = fifo.is_warm();
+        observe_step(observer, step, step_start, chunk.len(), fifo_warm);
         let mut fifo_have = [false; 3];
         // Per-step memos: the FIFO anchor index per anchor policy,
         // and the forked class (with its anchored start offset) per
@@ -800,11 +768,13 @@ fn run_shared_adaptive_scan<K: ForkableKernel>(
                 // In Phase the member's windows are its class's fork.
                 let class = &mut classes[m.class];
                 let slot = model_slot(m.config.model());
-                if !class.have[slot] {
+                let fresh = !class.have[slot];
+                if fresh {
                     class.sims[slot] = class.windows.similarity(m.config.model());
                     class.have[slot] = true;
                 }
                 let sim = class.sims[slot];
+                observe_similarity(observer, &class.windows, m, step, sim, fresh);
                 let new_state = m.analyzer.judge(sim);
                 if new_state == PhaseState::Phase {
                     m.analyzer.update(sim);
@@ -829,10 +799,12 @@ fn run_shared_adaptive_scan<K: ForkableKernel>(
                 // refilled, exactly as in the Constant-TW scan.
                 let new_state = if fifo_warm && consumed >= m.warm_from {
                     let slot = model_slot(m.config.model());
-                    if !fifo_have[slot] {
+                    let fresh = !fifo_have[slot];
+                    if fresh {
                         fifo_sims[slot] = fifo.similarity(m.config.model());
                         fifo_have[slot] = true;
                     }
+                    observe_similarity(observer, fifo, m, step, fifo_sims[slot], fresh);
                     m.analyzer.judge(fifo_sims[slot])
                 } else {
                     PhaseState::Transition
@@ -902,322 +874,7 @@ fn run_shared_adaptive_scan<K: ForkableKernel>(
             }
         }
     }
-    members
-        .into_iter()
-        .map(|mut m| {
-            if let Some(open) = m.phases.last_mut() {
-                if open.end.is_none() {
-                    open.end = Some(consumed);
-                }
-            }
-            (m.config_index, m.phases)
-        })
-        .collect()
-}
-
-/// [`run_shared_group`] plus accounting — the scan loop is a
-/// line-for-line mirror of [`run_shared_group_scan`] (the
-/// observer-equivalence suite asserts matching results; keep any
-/// change to the scan loop mirrored here). A fresh model-slot
-/// computation charges the kernel's full runtime comparison cost;
-/// every further member judging the memoized similarity charges only
-/// the fixed judge overhead — so shared-scan comparison ops are always
-/// at or below the static per-member bound.
-#[cfg(feature = "obs")]
-fn run_shared_group_metered(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-    metrics: &mut opd_obs::UnitMetrics,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
-    );
-    let members = shared_members(configs, member_indices);
-    let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
-    match kernel {
-        KernelKind::Scalar => {
-            let track = member_indices
-                .iter()
-                .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
-            let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            run_shared_group_scan_metered(members, trace, skip, &mut windows, metrics)
-        }
-        KernelKind::Swar => {
-            scratch.shared_swar.ensure_sites(sites);
-            let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            run_shared_group_scan_metered(members, trace, skip, &mut windows, metrics)
-        }
-    }
-}
-
-/// The metered twin of [`run_shared_group_scan`].
-#[cfg(feature = "obs")]
-fn run_shared_group_scan_metered<K: WindowKernel>(
-    mut members: Vec<Member>,
-    trace: &InternedTrace,
-    skip: usize,
-    windows: &mut K,
-    metrics: &mut opd_obs::UnitMetrics,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &members[0].config;
-    let refill = (first.current_window() + first.trailing_window() - skip) as u64;
-    metrics.scans += 1;
-    metrics.elements += trace.len() as u64;
-    let mut consumed = 0u64;
-    let mut sims = [0.0f64; 3];
-    for chunk in trace.ids().chunks(skip) {
-        windows.advance(chunk, false);
-        let step_start = consumed;
-        consumed += chunk.len() as u64;
-        metrics.steps += 1;
-        let shared_warm = windows.is_warm();
-        let mut have = [false; 3];
-        for m in &mut members {
-            let (new_state, sim) = if shared_warm && consumed >= m.warm_from {
-                let slot = model_slot(m.config.model());
-                if have[slot] {
-                    // Memoized similarity: this member pays only the
-                    // analyzer's judge overhead.
-                    metrics.compare_ops += 2;
-                } else {
-                    sims[slot] = windows.similarity(m.config.model());
-                    have[slot] = true;
-                    metrics.compare_ops += windows.judge_ops(m.config.model());
-                }
-                metrics.judged_steps += 1;
-                (m.analyzer.judge(sims[slot]), sims[slot])
-            } else {
-                (PhaseState::Transition, 0.0)
-            };
-            match (m.state, new_state) {
-                (PhaseState::Transition, PhaseState::Phase) => {
-                    let anchor_idx = windows.anchor_index(m.config.anchor());
-                    m.analyzer.reset();
-                    m.phases.push(DetectedPhase {
-                        start: step_start,
-                        anchored_start: windows.offset_of_index(anchor_idx),
-                        end: None,
-                    });
-                }
-                (PhaseState::Phase, PhaseState::Transition) => {
-                    m.warm_from = consumed + refill;
-                    if let Some(open) = m.phases.last_mut() {
-                        open.end = Some(step_start);
-                    }
-                }
-                (PhaseState::Phase, PhaseState::Phase) => {
-                    m.analyzer.update(sim);
-                }
-                (PhaseState::Transition, PhaseState::Transition) => {}
-            }
-            m.state = new_state;
-        }
-    }
-    members
-        .into_iter()
-        .map(|mut m| {
-            if let Some(open) = m.phases.last_mut() {
-                if open.end.is_none() {
-                    open.end = Some(consumed);
-                }
-            }
-            (m.config_index, m.phases)
-        })
-        .collect()
-}
-
-/// [`run_shared_adaptive_group`] plus accounting — mirrors
-/// [`run_shared_adaptive_scan`] the way the constant twin above
-/// mirrors its plain scan; keep changes mirrored.
-#[cfg(feature = "obs")]
-fn run_shared_adaptive_group_metered(
-    configs: &[DetectorConfig],
-    member_indices: &[usize],
-    trace: &InternedTrace,
-    scratch: &mut SweepScratch,
-    kernel: KernelKind,
-    metrics: &mut opd_obs::UnitMetrics,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &configs[member_indices[0]];
-    let (cw, tw, skip) = (
-        first.current_window(),
-        first.trailing_window(),
-        first.skip_factor(),
-    );
-    let members = adaptive_members(configs, member_indices);
-    let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
-    match kernel {
-        KernelKind::Scalar => {
-            let track = member_indices
-                .iter()
-                .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
-            let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            run_shared_adaptive_scan_metered(members, trace, skip, &mut windows, metrics)
-        }
-        KernelKind::Swar => {
-            scratch.shared_swar.ensure_sites(sites);
-            let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            run_shared_adaptive_scan_metered(members, trace, skip, &mut windows, metrics)
-        }
-    }
-}
-
-/// The metered twin of [`run_shared_adaptive_scan`]. A fresh
-/// class-or-FIFO model-slot computation charges the kernel's full
-/// runtime comparison cost; every further member judging a memoized
-/// similarity charges only the fixed judge overhead. Each fresh
-/// computation is attributable to the distinct member that triggered
-/// it (a member judges exactly one window state per step), so
-/// shared-scan comparison ops stay at or below the static per-member
-/// bound.
-#[cfg(feature = "obs")]
-fn run_shared_adaptive_scan_metered<K: ForkableKernel>(
-    mut members: Vec<AdaptiveMember>,
-    trace: &InternedTrace,
-    skip: usize,
-    fifo: &mut K,
-    metrics: &mut opd_obs::UnitMetrics,
-) -> Vec<(usize, Vec<DetectedPhase>)> {
-    let first = &members[0].config;
-    let refill = (first.current_window() + first.trailing_window() - skip) as u64;
-    let tw_cap = first.trailing_window() as u64;
-    metrics.scans += 1;
-    metrics.elements += trace.len() as u64;
-    let mut consumed = 0u64;
-    let mut classes: Vec<PhaseClass<K::Forked>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut fifo_sims = [0.0f64; 3];
-    for chunk in trace.ids().chunks(skip) {
-        fifo.advance(chunk, false);
-        for class in &mut classes {
-            if class.members > 0 {
-                class.windows.advance(chunk, true);
-                class.have = [false; 3];
-            }
-        }
-        let step_start = consumed;
-        consumed += chunk.len() as u64;
-        metrics.steps += 1;
-        let fifo_warm = fifo.is_warm();
-        let mut fifo_have = [false; 3];
-        let mut anchor_memo: [Option<usize>; 2] = [None; 2];
-        let mut forks: [Option<((u64, u64), usize)>; 4] = [None; 4];
-        for m in &mut members {
-            if m.state == PhaseState::Phase {
-                let class = &mut classes[m.class];
-                let slot = model_slot(m.config.model());
-                if class.have[slot] {
-                    metrics.compare_ops += 2;
-                } else {
-                    class.sims[slot] = class.windows.similarity(m.config.model());
-                    class.have[slot] = true;
-                    metrics.compare_ops += class.windows.judge_ops(m.config.model());
-                }
-                metrics.judged_steps += 1;
-                let sim = class.sims[slot];
-                let new_state = m.analyzer.judge(sim);
-                if new_state == PhaseState::Phase {
-                    m.analyzer.update(sim);
-                } else {
-                    class.members -= 1;
-                    if class.members == 0 {
-                        free.push(m.class);
-                    }
-                    m.class = NO_CLASS;
-                    m.warm_from = consumed + refill;
-                    if let Some(open) = m.phases.last_mut() {
-                        open.end = Some(step_start);
-                    }
-                }
-                m.state = new_state;
-            } else {
-                let new_state = if fifo_warm && consumed >= m.warm_from {
-                    let slot = model_slot(m.config.model());
-                    if fifo_have[slot] {
-                        metrics.compare_ops += 2;
-                    } else {
-                        fifo_sims[slot] = fifo.similarity(m.config.model());
-                        fifo_have[slot] = true;
-                        metrics.compare_ops += fifo.judge_ops(m.config.model());
-                    }
-                    metrics.judged_steps += 1;
-                    m.analyzer.judge(fifo_sims[slot])
-                } else {
-                    PhaseState::Transition
-                };
-                if new_state == PhaseState::Phase {
-                    let a_slot = anchor_slot(m.config.anchor());
-                    let anchor_idx = *anchor_memo[a_slot]
-                        .get_or_insert_with(|| fifo.anchor_index(m.config.anchor()));
-                    let a0 = fifo.offset_of_index(0);
-                    let b0 = a0 + fifo.tw_len() as u64;
-                    let a2 = a0 + anchor_idx as u64;
-                    let b2 = if m.config.resize() == ResizePolicy::Slide {
-                        b0.max((a2 + tw_cap).min(consumed - 1))
-                    } else {
-                        b0
-                    };
-                    let class_idx = match forks.iter().flatten().find(|(key, _)| *key == (a2, b2)) {
-                        Some(&(_, idx)) => idx,
-                        None => {
-                            let mut windows = fifo.fork();
-                            let anchored_start =
-                                windows.anchor_and_resize(anchor_idx, m.config.resize());
-                            debug_assert_eq!(anchored_start, a2);
-                            let fresh = PhaseClass {
-                                windows,
-                                members: 0,
-                                sims: [0.0; 3],
-                                have: [false; 3],
-                            };
-                            let class_idx = match free.pop() {
-                                Some(idx) => {
-                                    classes[idx] = fresh;
-                                    idx
-                                }
-                                None => {
-                                    classes.push(fresh);
-                                    classes.len() - 1
-                                }
-                            };
-                            let slot = forks
-                                .iter_mut()
-                                .find(|s| s.is_none())
-                                .expect("at most four (anchor, resize) pairs per step");
-                            *slot = Some(((a2, b2), class_idx));
-                            class_idx
-                        }
-                    };
-                    classes[class_idx].members += 1;
-                    m.class = class_idx;
-                    m.analyzer.reset();
-                    m.phases.push(DetectedPhase {
-                        start: step_start,
-                        anchored_start: a2,
-                        end: None,
-                    });
-                }
-                m.state = new_state;
-            }
-        }
-    }
-    members
-        .into_iter()
-        .map(|mut m| {
-            if let Some(open) = m.phases.last_mut() {
-                if open.end.is_none() {
-                    open.end = Some(consumed);
-                }
-            }
-            (m.config_index, m.phases)
-        })
-        .collect()
+    close_members(members, consumed)
 }
 
 #[cfg(test)]
@@ -1418,22 +1075,26 @@ mod tests {
     #[test]
     fn metered_units_match_unmetered_results() {
         let configs = mixed_grid();
-        let engine = SweepEngine::new(&configs);
         let trace = block_trace(3, 120, 4);
-        let mut scratch = SweepScratch::new();
-        let mut metrics = opd_obs::UnitMetrics::new();
-        for unit_index in 0..engine.units().len() {
-            let plain = engine.run_unit(unit_index, &trace, &mut scratch);
-            let metered = engine.run_unit_metered(unit_index, &trace, &mut scratch, &mut metrics);
-            assert_eq!(plain, metered, "unit {unit_index}");
+        for kernel in [KernelKind::Scalar, KernelKind::Swar] {
+            let engine = SweepEngine::with_kernel(&configs, kernel);
+            let mut scratch = SweepScratch::new();
+            let mut metrics = opd_obs::UnitMetrics::new();
+            for unit_index in 0..engine.units().len() {
+                let plain = engine.run_unit(unit_index, &trace, &mut scratch);
+                let metered =
+                    engine.run_unit_metered(unit_index, &trace, &mut scratch, &mut metrics);
+                assert_eq!(plain, metered, "{kernel} unit {unit_index}");
+            }
+            assert_eq!(metrics.scans as usize, engine.total_scans(), "{kernel}");
+            assert_eq!(
+                metrics.elements,
+                engine.total_scans() as u64 * trace.len() as u64,
+                "{kernel}"
+            );
+            assert!(metrics.judged_steps <= metrics.steps * configs.len() as u64);
+            assert!(metrics.compare_ops >= 2 * metrics.judged_steps);
         }
-        assert_eq!(metrics.scans as usize, engine.total_scans());
-        assert_eq!(
-            metrics.elements,
-            engine.total_scans() as u64 * trace.len() as u64
-        );
-        assert!(metrics.judged_steps <= metrics.steps * configs.len() as u64);
-        assert!(metrics.compare_ops >= 2 * metrics.judged_steps);
     }
 
     #[test]

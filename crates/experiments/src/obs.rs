@@ -11,9 +11,10 @@
 //! above (see `counter_bounds.rs` in the test suite).
 //!
 //! [`null_observer_overhead`] is the measurement behind the
-//! zero-overhead-when-off claim: the instrumented detector path run
-//! with [`opd_obs::NullObserver`] against the uninstrumented
-//! `run_interned_phases_only`, interleaved samples, median of each.
+//! zero-overhead-when-off claim: the observed detector entry point run
+//! with [`opd_obs::NullObserver`] against the plain
+//! `run_interned_phases_only` (itself that same body's `NullObserver`
+//! instantiation), interleaved samples, median of each.
 
 use std::time::Instant;
 
@@ -155,9 +156,9 @@ impl SweepProfile {
 }
 
 /// [`crate::runner::sweep_many`] with the meter on: identical results
-/// (the engine's metered paths are mirrors of the unmetered ones,
-/// guarded by the observer-equivalence suite), plus a [`SweepProfile`]
-/// of what every bucket did.
+/// (metered and plain units run the same generic scan body, at a
+/// `MeterObserver` and a `NullObserver` respectively), plus a
+/// [`SweepProfile`] of what every bucket did.
 #[must_use]
 pub fn sweep_many_profiled(
     prepared: &[PreparedWorkload],

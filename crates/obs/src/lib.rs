@@ -10,14 +10,17 @@
 //!   link this crate at all (`scripts/check.sh` guards the dependency
 //!   edge with `cargo tree`).
 //! * **Runtime off** — the [`DetectorObserver`] trait carries a
-//!   `const ACTIVE: bool`; instrumented code guards every event
-//!   construction with `if O::ACTIVE`, so the [`NullObserver`]
-//!   monomorphizes the instrumented run paths back to the
-//!   uninstrumented machine code (asserted allocation-free and within
-//!   noise of the plain path by the repository's observer suite and
+//!   `const ACTIVE: bool`; the detector and sweep loops guard every
+//!   event construction with `if O::ACTIVE`, so their plain entry
+//!   points are simply the [`NullObserver`] instantiation of the one
+//!   generic body (asserted allocation-free and within noise of an
+//!   active meter by the repository's observer suite and
 //!   `BENCH_obs.json`).
 //!
-//! [`DetectorEvent`] is the event vocabulary (window slides/moves,
+//! The trait, [`NullObserver`], and the event vocabulary live in
+//! `opd-trace` (so `opd-core` can be generic over observers without
+//! depending on this crate) and are re-exported here under their
+//! historical paths. [`DetectorEvent`] is the event vocabulary (window slides/moves,
 //! similarity scores, analyzer decisions, phase transitions);
 //! [`MetricsRegistry`] is the sharded counter/histogram registry the
 //! sweep paths record into; [`UnitMetrics`] is the plain per-unit
@@ -30,21 +33,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
-mod event;
 mod metrics;
 mod observer;
 #[cfg(feature = "sched")]
 pub mod sched_model;
 mod span;
 
-pub use event::{DetectorEvent, ResizeKind};
 pub use metrics::{
     CounterId, HistogramId, HistogramSnapshot, MetricsRegistry, MetricsSnapshot, UnitMetrics,
     HISTOGRAM_BUCKETS,
 };
-pub use observer::{
-    DetectorObserver, FnObserver, MeterObserver, NullObserver, RecordedPhase, RecordingObserver,
-};
+pub use observer::{FnObserver, MeterObserver, RecordedPhase, RecordingObserver};
+pub use opd_trace::{DetectorEvent, DetectorObserver, NullObserver, ResizeKind};
 pub use span::{
     parse_span_log, render_span_log, FlightRing, NullSpanRecorder, Span, SpanKind, SpanLog,
     SpanRecorder, SPAN_LOG_HEADER,

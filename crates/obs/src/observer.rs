@@ -1,39 +1,8 @@
-//! The observer trait and its stock implementations.
+//! Stock implementations of the detector observer trait.
 
-use crate::event::DetectorEvent;
+use opd_trace::{DetectorEvent, DetectorObserver};
+
 use crate::metrics::UnitMetrics;
-
-/// Receives the structured event stream of an instrumented detector
-/// run.
-///
-/// The associated `ACTIVE` constant is the zero-overhead-when-off
-/// switch: instrumented code guards every event construction with
-/// `if O::ACTIVE { ... }`, so an observer with `ACTIVE = false`
-/// ([`NullObserver`]) monomorphizes the instrumented path back to the
-/// uninstrumented machine code — no event is ever built, no call is
-/// ever made.
-pub trait DetectorObserver {
-    /// Whether this observer wants events at all. Leave at the default
-    /// (`true`) for any observer that reads events.
-    const ACTIVE: bool = true;
-
-    /// Called once per emitted event, in emission order.
-    fn on_event(&mut self, event: &DetectorEvent);
-}
-
-/// The do-nothing observer: `ACTIVE = false`, so instrumented run
-/// paths compile to the same code as their uninstrumented twins (the
-/// repository's observer-equivalence suite asserts bit-identical
-/// results and an allocation-free steady state).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullObserver;
-
-impl DetectorObserver for NullObserver {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn on_event(&mut self, _event: &DetectorEvent) {}
-}
 
 /// Calls a closure per event — the streaming adaptor used by
 /// `opd trace`.
@@ -157,7 +126,7 @@ impl DetectorObserver for MeterObserver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use opd_trace::PhaseState;
+    use opd_trace::{NullObserver, PhaseState};
 
     #[test]
     fn recording_observer_reconstructs_phases() {

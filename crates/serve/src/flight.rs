@@ -8,7 +8,7 @@
 //! generic [`SpanRecorder`] the service run collects full logs
 //! through. Everything is guarded by `R::ACTIVE` at the call sites in
 //! `session.rs`, so a [`NullSpanRecorder`](opd_obs::NullSpanRecorder)
-//! tracer compiles the traced paths back to the plain machine code.
+//! tracer compiles every span emission out of the session loop.
 //!
 //! A [`Postmortem`] is self-contained: session identity, the reason
 //! and virtual tick of death, the exact counters at that instant, and
@@ -261,9 +261,9 @@ impl Default for TraceConfig {
     }
 }
 
-/// The per-session span tracer threaded through the `*_traced`
-/// session paths. All methods are cheap bookkeeping; the traced call
-/// sites guard every use with `R::ACTIVE`.
+/// The per-session span tracer threaded through the session state
+/// machine. All methods are cheap bookkeeping; the call sites guard
+/// every use with `R::ACTIVE`.
 #[derive(Debug)]
 pub struct SessionTracer<R> {
     client: u32,
@@ -290,9 +290,8 @@ impl<R: SpanRecorder> SessionTracer<R> {
             vshard,
             next_id: 0,
             // With tracing compiled out the ring is never pushed to;
-            // skipping its pre-allocation keeps the disabled path
-            // allocation-identical to the plain engine (pinned by
-            // tests/span_alloc.rs).
+            // skipping its pre-allocation keeps the disabled path free
+            // of span-layer allocations (pinned by tests/span_alloc.rs).
             ring: if R::ACTIVE {
                 FlightRing::new(trace.flight_capacity)
             } else {

@@ -22,7 +22,8 @@ use std::time::Instant;
 use opd_analyze::ResourceCertificate;
 use opd_core::DetectorConfig;
 use opd_obs::{
-    render_span_log, CounterId, DetectorEvent, HistogramId, MetricsRegistry, Span, SpanRecorder,
+    render_span_log, CounterId, DetectorEvent, HistogramId, MetricsRegistry, NullSpanRecorder,
+    Span, SpanRecorder,
 };
 use opd_trace::{encode_trace, ExecutionTrace, MethodId, ProfileElement, TraceSink};
 
@@ -404,7 +405,8 @@ pub fn run_service(
 }
 
 /// Runs the service with phase-boundary notifications pushed to
-/// `subscriber` and dashboard metrics recorded through `metrics`.
+/// `subscriber` and dashboard metrics recorded through `metrics`: the
+/// [`NullSpanRecorder`] instantiation of [`run_service_traced`].
 ///
 /// # Errors
 ///
@@ -417,6 +419,82 @@ pub fn run_service_with(
     subscriber: &dyn Subscriber,
     metrics: Option<(&MetricsRegistry, &ServiceMetrics)>,
 ) -> Result<ServiceReport, ServeError> {
+    let trace = TraceConfig::default();
+    run_service_traced::<NullSpanRecorder>(config, source, options, subscriber, metrics, &trace)
+        .map(|(report, _)| report)
+}
+
+/// A generous upper bound on the virtual ticks a vshard can need:
+/// exceeded only by a livelocked state machine, never by a legal run.
+fn tick_budget_for(max_frames: u64, config: &ServeConfig) -> u64 {
+    let worst_frame = u64::from(config.supervision.retry_budget)
+        * (config.supervision.deadline_ticks + config.supervision.backoff_cap_ticks + 4);
+    1_000 + 4 * (max_frames + 1) * (worst_frame + 2)
+}
+
+fn tick_budget(sessions: &[Session], config: &ServeConfig) -> u64 {
+    let max_frames = sessions
+        .iter()
+        .map(|s| s.stats().frames_total)
+        .max()
+        .unwrap_or(0);
+    tick_budget_for(max_frames, config)
+}
+
+/// Everything a traced run observed beyond the report: the full span
+/// log (ascending by client, per-session emission order within a
+/// client — deterministic and thread-count invariant) and every
+/// post-mortem dumped along the way.
+///
+/// A run resumed from a checkpoint emits spans and post-mortems only
+/// for the vshards it recomputed: restored vshards contribute their
+/// session reports, but no trace.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServiceTrace {
+    /// All recorded spans, sorted by client then emission order.
+    pub spans: Vec<Span>,
+    /// All post-mortems, sorted by `(client, tick)`.
+    pub postmortems: Vec<Postmortem>,
+}
+
+impl ServiceTrace {
+    /// The canonical span-log document (`# opd-spans-v1`) — the
+    /// byte-identical-across-threads artifact.
+    #[must_use]
+    pub fn span_log(&self) -> String {
+        render_span_log(&self.spans)
+    }
+
+    /// Span counts per kind, in [`opd_obs::SpanKind::ALL`] order.
+    #[must_use]
+    pub fn counts_by_kind(&self) -> Vec<(opd_obs::SpanKind, u64)> {
+        opd_obs::SpanKind::ALL
+            .into_iter()
+            .map(|k| (k, self.spans.iter().filter(|s| s.kind == k).count() as u64))
+            .collect()
+    }
+}
+
+/// [`run_service_with`], with causal-span tracing: every session runs
+/// under a [`SessionTracer`] whose recorder type `R` decides the cost —
+/// [`opd_obs::SpanLog`] collects the full trace, and
+/// [`opd_obs::NullSpanRecorder`] compiles every span emission out
+/// (`run_service_with` is exactly that instantiation). Checkpoints
+/// compose with tracing; see [`ServiceTrace`] for what a resumed run
+/// traces.
+///
+/// # Errors
+///
+/// Returns [`ServeError`] on an unusable configuration, a checkpoint
+/// that cannot be read or written, or a stalled shard.
+pub fn run_service_traced<R: SpanRecorder + Default>(
+    config: &ServeConfig,
+    source: &dyn FrameSource,
+    options: &ServiceOptions,
+    subscriber: &dyn Subscriber,
+    metrics: Option<(&MetricsRegistry, &ServiceMetrics)>,
+    trace: &TraceConfig,
+) -> Result<(ServiceReport, ServiceTrace), ServeError> {
     if config.vshards == 0 {
         return Err(ServeError::Config("vshards must be at least 1".into()));
     }
@@ -460,7 +538,13 @@ pub fn run_service_with(
     }
     .min(pending.len().max(1));
 
-    let done: Mutex<BTreeMap<u32, Vec<SessionReport>>> = Mutex::new(restored);
+    // Restored vshards carry their reports but no trace.
+    let done: Mutex<BTreeMap<u32, VshardTrace>> = Mutex::new(
+        restored
+            .into_iter()
+            .map(|(vshard, reports)| (vshard, (reports, Vec::new(), Vec::new())))
+            .collect(),
+    );
     let next = AtomicUsize::new(0);
     let failure: Mutex<Option<ServeError>> = Mutex::new(None);
 
@@ -472,238 +556,16 @@ pub fn run_service_with(
                 }
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(&vshard) = pending.get(i) else { break };
-                match run_vshard(vshard, config, source, subscriber, metrics) {
-                    Ok(reports) => {
+                match run_vshard::<R>(vshard, config, source, subscriber, metrics, trace) {
+                    Ok(result) => {
                         if let Some(w) = &writer {
                             let mut w = w.lock().expect("no panics in workers");
-                            if let Err(e) = w.append(vshard, &reports) {
+                            if let Err(e) = w.append(vshard, &result.0) {
                                 *failure.lock().expect("no panics in workers") =
                                     Some(ServeError::Checkpoint(CheckpointError::Io(e)));
                                 break;
                             }
                         }
-                        done.lock()
-                            .expect("no panics in workers")
-                            .insert(vshard, reports);
-                    }
-                    Err(e) => {
-                        *failure.lock().expect("no panics in workers") = Some(e);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = failure.into_inner().expect("no panics in workers") {
-        return Err(e);
-    }
-    let map = done.into_inner().expect("no panics in workers");
-    let mut sessions: Vec<SessionReport> = map.into_values().flatten().collect();
-    sessions.sort_by_key(|r| r.client);
-    Ok(ServiceReport {
-        vshards: config.vshards,
-        fingerprint,
-        restored_vshards,
-        sessions,
-    })
-}
-
-/// A generous upper bound on the virtual ticks a vshard can need:
-/// exceeded only by a livelocked state machine, never by a legal run.
-fn tick_budget_for(max_frames: u64, config: &ServeConfig) -> u64 {
-    let worst_frame = u64::from(config.supervision.retry_budget)
-        * (config.supervision.deadline_ticks + config.supervision.backoff_cap_ticks + 4);
-    1_000 + 4 * (max_frames + 1) * (worst_frame + 2)
-}
-
-fn tick_budget(sessions: &[Session], config: &ServeConfig) -> u64 {
-    let max_frames = sessions
-        .iter()
-        .map(|s| s.stats().frames_total)
-        .max()
-        .unwrap_or(0);
-    tick_budget_for(max_frames, config)
-}
-
-fn run_vshard(
-    vshard: u32,
-    config: &ServeConfig,
-    source: &dyn FrameSource,
-    subscriber: &dyn Subscriber,
-    metrics: Option<(&MetricsRegistry, &ServiceMetrics)>,
-) -> Result<Vec<SessionReport>, ServeError> {
-    let mut reports = Vec::new();
-    let mut sessions = Vec::new();
-    let mut client = vshard;
-    while client < source.clients() {
-        let frames = source.frames(client);
-        let admitted = match (config.admission_budget_bytes, source.certificate(client)) {
-            (Some(budget), Some(cert)) => cert.admits(budget),
-            _ => true,
-        };
-        if admitted {
-            sessions.push(Session::new(
-                client,
-                source.detector_config(client),
-                frames,
-                config.ingest,
-                config.supervision,
-                config.verify,
-            ));
-        } else {
-            reports.push(SessionReport::rejected(client, frames));
-        }
-        match client.checked_add(config.vshards) {
-            Some(next_client) => client = next_client,
-            None => break,
-        }
-    }
-
-    let budget = tick_budget(&sessions, config);
-    let mut live = sessions.len();
-    let mut tick = 0u64;
-    while live > 0 {
-        tick += 1;
-        if tick > budget {
-            return Err(ServeError::Stalled {
-                vshard,
-                ticks: tick,
-            });
-        }
-        for s in &mut sessions {
-            if !s.is_live() {
-                continue;
-            }
-            s.deliver(source, tick);
-            let before = s.stats().frames_processed;
-            let t0 = metrics.map(|_| Instant::now());
-            s.step(tick, &config.hazards, subscriber);
-            if let (Some((registry, m)), Some(t0)) = (metrics, t0) {
-                if s.stats().frames_processed > before {
-                    registry.record_tagged(
-                        m.step_ns,
-                        u64::from(vshard),
-                        u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                    );
-                }
-                if let Some(latency) = s.take_last_latency() {
-                    registry.record_tagged(m.frame_latency, u64::from(vshard), latency);
-                }
-            }
-            if !s.is_live() {
-                live -= 1;
-            }
-        }
-    }
-
-    for s in sessions {
-        let report = s.into_report();
-        if let Some((registry, m)) = metrics {
-            m.observe_session(registry, vshard, &report);
-        }
-        reports.push(report);
-    }
-    reports.sort_by_key(|r| r.client);
-    Ok(reports)
-}
-
-/// Everything a traced run observed beyond the report: the full span
-/// log (ascending by client, per-session emission order within a
-/// client — deterministic and thread-count invariant) and every
-/// post-mortem dumped along the way.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServiceTrace {
-    /// All recorded spans, sorted by client then emission order.
-    pub spans: Vec<Span>,
-    /// All post-mortems, sorted by `(client, tick)`.
-    pub postmortems: Vec<Postmortem>,
-}
-
-impl ServiceTrace {
-    /// The canonical span-log document (`# opd-spans-v1`) — the
-    /// byte-identical-across-threads artifact.
-    #[must_use]
-    pub fn span_log(&self) -> String {
-        render_span_log(&self.spans)
-    }
-
-    /// Span counts per kind, in [`opd_obs::SpanKind::ALL`] order.
-    #[must_use]
-    pub fn counts_by_kind(&self) -> Vec<(opd_obs::SpanKind, u64)> {
-        opd_obs::SpanKind::ALL
-            .into_iter()
-            .map(|k| (k, self.spans.iter().filter(|s| s.kind == k).count() as u64))
-            .collect()
-    }
-}
-
-/// [`run_service_with`], with causal-span tracing: every session runs
-/// the `*_traced` twin paths under a [`SessionTracer`] whose recorder
-/// type `R` decides the cost — [`opd_obs::SpanLog`] collects the full
-/// trace, [`opd_obs::NullSpanRecorder`] monomorphizes the traced
-/// paths back to the plain machine code (the overhead-gate arm).
-///
-/// Checkpointing is not supported under tracing (a resumed run would
-/// have no spans for restored vshards).
-///
-/// # Errors
-///
-/// Returns [`ServeError`] on an unusable configuration, a checkpoint
-/// option, or a stalled shard.
-pub fn run_service_traced<R: SpanRecorder + Default>(
-    config: &ServeConfig,
-    source: &dyn FrameSource,
-    options: &ServiceOptions,
-    subscriber: &dyn Subscriber,
-    metrics: Option<(&MetricsRegistry, &ServiceMetrics)>,
-    trace: &TraceConfig,
-) -> Result<(ServiceReport, ServiceTrace), ServeError> {
-    if config.vshards == 0 {
-        return Err(ServeError::Config("vshards must be at least 1".into()));
-    }
-    if config.ingest.queue_capacity == 0 {
-        return Err(ServeError::Config(
-            "queue capacity must be at least 1".into(),
-        ));
-    }
-    if config.ingest.arrivals_per_tick == 0 {
-        return Err(ServeError::Config(
-            "arrivals per tick must be at least 1".into(),
-        ));
-    }
-    if config.supervision.retry_budget == 0 {
-        return Err(ServeError::Config("retry budget must be at least 1".into()));
-    }
-    if options.checkpoint.is_some() {
-        return Err(ServeError::Config(
-            "tracing does not support checkpoints".into(),
-        ));
-    }
-
-    let fingerprint = config.fingerprint(source);
-    let pending: Vec<u32> = (0..config.vshards).collect();
-    let threads = if options.threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        options.threads
-    }
-    .min(pending.len().max(1));
-
-    let done: Mutex<BTreeMap<u32, VshardTrace>> = Mutex::new(BTreeMap::new());
-    let next = AtomicUsize::new(0);
-    let failure: Mutex<Option<ServeError>> = Mutex::new(None);
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                if failure.lock().expect("no panics in workers").is_some() {
-                    break;
-                }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&vshard) = pending.get(i) else { break };
-                match run_vshard_traced::<R>(vshard, config, source, subscriber, metrics, trace) {
-                    Ok(result) => {
                         done.lock()
                             .expect("no panics in workers")
                             .insert(vshard, result);
@@ -737,7 +599,7 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
         ServiceReport {
             vshards: config.vshards,
             fingerprint,
-            restored_vshards: 0,
+            restored_vshards,
             sessions,
         },
         ServiceTrace { spans, postmortems },
@@ -748,9 +610,9 @@ pub fn run_service_traced<R: SpanRecorder + Default>(
 /// logs, and post-mortems.
 type VshardTrace = (Vec<SessionReport>, Vec<(u32, Vec<Span>)>, Vec<Postmortem>);
 
-/// [`run_vshard`], traced: a line-for-line mirror driving the
-/// `*_traced` session paths with one [`SessionTracer`] per session.
-fn run_vshard_traced<R: SpanRecorder + Default>(
+/// Runs one vshard's sessions to completion under the deterministic
+/// tick loop, one [`SessionTracer`] per session.
+fn run_vshard<R: SpanRecorder + Default>(
     vshard: u32,
     config: &ServeConfig,
     source: &dyn FrameSource,
@@ -761,9 +623,8 @@ fn run_vshard_traced<R: SpanRecorder + Default>(
     let mut reports = Vec::new();
     // Sessions and their tracers live in parallel vectors: with
     // tracing compiled out the tracer vector stays empty and a single
-    // inert tracer serves every session, so the disabled path's
-    // allocations match the plain engine's element-for-element
-    // (pinned by tests/span_alloc.rs).
+    // inert tracer serves every session, so the disabled path makes no
+    // per-session span-layer allocation (pinned by tests/span_alloc.rs).
     let mut sessions: Vec<Session> = Vec::new();
     let mut tracers: Vec<SessionTracer<R>> = Vec::new();
     let mut inert_tracer = SessionTracer::new(0, vshard, trace, R::default());
@@ -818,7 +679,7 @@ fn run_vshard_traced<R: SpanRecorder + Default>(
             s.deliver(source, tick);
             let before = s.stats().frames_processed;
             let t0 = metrics.map(|_| Instant::now());
-            s.step_traced(tick, &config.hazards, subscriber, tracer);
+            s.step(tick, &config.hazards, subscriber, tracer);
             if let (Some((registry, m)), Some(t0)) = (metrics, t0) {
                 if s.stats().frames_processed > before {
                     registry.record_tagged(
@@ -1103,9 +964,9 @@ mod tests {
     #[test]
     fn traced_runs_match_plain_runs_bit_for_bit() {
         use opd_obs::{NullSpanRecorder, SpanLog};
-        // The traced-twins equivalence gate: the same faulted soak
-        // through the plain path, the disabled-tracer path, and the
-        // recording path must produce identical reports.
+        // The tracing equivalence gate: the same faulted soak through
+        // the plain entry point, the disabled-tracer instantiation, and
+        // the recording one must produce identical reports.
         let source = MemorySource::synthetic(24, 8, 32);
         let config = ServeConfig {
             vshards: 6,
@@ -1261,22 +1122,121 @@ mod tests {
         }
     }
 
-    #[test]
-    fn traced_runs_refuse_checkpoints() {
-        use opd_obs::SpanLog;
-        let source = MemorySource::synthetic(1, 1, 10);
-        let err = run_service_traced::<SpanLog>(
-            &ServeConfig::default(),
-            &source,
-            &ServiceOptions {
-                checkpoint: Some(std::path::PathBuf::from("/tmp/never.opdk")),
-                ..ServiceOptions::default()
+    /// The faulted soak the checkpoint × tracing tests share.
+    fn traced_checkpoint_fixture() -> (MemorySource, ServeConfig) {
+        let source = MemorySource::synthetic(20, 7, 30);
+        let config = ServeConfig {
+            vshards: 5,
+            hazards: SeededHazards {
+                seed: 23,
+                kill_rate: 0.08,
+                wedge_rate: 0.03,
+                poison_rate: 0.01,
             },
+            ..ServeConfig::default()
+        };
+        (source, config)
+    }
+
+    fn traced_run(
+        config: &ServeConfig,
+        source: &MemorySource,
+        options: &ServiceOptions,
+    ) -> (ServiceReport, ServiceTrace) {
+        run_service_traced::<opd_obs::SpanLog>(
+            config,
+            source,
+            options,
             &NullSubscriber,
             None,
             &TraceConfig::default(),
+        )
+        .expect("traced run")
+    }
+
+    #[test]
+    fn checkpointing_a_traced_run_changes_neither_report_nor_spans() {
+        let (source, config) = traced_checkpoint_fixture();
+        let dir =
+            std::env::temp_dir().join(format!("opd_serve_traced_ckpt_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("fresh.opdk");
+        let (plain_report, plain_trace) = traced_run(&config, &source, &ServiceOptions::default());
+        let (ckpt_report, ckpt_trace) = traced_run(
+            &config,
+            &source,
+            &ServiceOptions {
+                checkpoint: Some(path.clone()),
+                ..ServiceOptions::default()
+            },
         );
-        assert!(matches!(err, Err(ServeError::Config(_))));
+        assert_eq!(ckpt_report, plain_report);
+        assert_eq!(ckpt_trace.span_log(), plain_trace.span_log());
+        assert_eq!(ckpt_trace.postmortems, plain_trace.postmortems);
+        assert!(plain_report.restarts() > 0, "hazards must fire");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn traced_resume_traces_only_recomputed_vshards() {
+        let (source, config) = traced_checkpoint_fixture();
+        let dir =
+            std::env::temp_dir().join(format!("opd_serve_traced_resume_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let path = dir.join("partial.opdk");
+        let plain = run_service(&config, &source, &ServiceOptions::default()).expect("plain");
+        let (_, full_trace) = traced_run(&config, &source, &ServiceOptions::default());
+
+        // A partial checkpoint: two of the five vshards already done.
+        let restored = [0u32, 3];
+        {
+            let mut w = ServeCheckpointWriter::create(&path, plain.fingerprint).expect("create");
+            for &v in &restored {
+                let reports: Vec<SessionReport> = plain
+                    .sessions
+                    .iter()
+                    .filter(|r| r.client % config.vshards == v)
+                    .copied()
+                    .collect();
+                w.append(v, &reports).expect("append");
+            }
+        }
+        let (resumed, trace) = traced_run(
+            &config,
+            &source,
+            &ServiceOptions {
+                checkpoint: Some(path.clone()),
+                resume: true,
+                ..ServiceOptions::default()
+            },
+        );
+        assert_eq!(resumed.restored_vshards, restored.len() as u32);
+        assert_eq!(resumed.fingerprint, plain.fingerprint);
+        assert_eq!(
+            resumed.sessions, plain.sessions,
+            "resumed outcomes are bit-identical"
+        );
+
+        let recomputed = |client: u32| !restored.contains(&(client % config.vshards));
+        let expected_spans: Vec<Span> = full_trace
+            .spans
+            .iter()
+            .filter(|s| recomputed(s.client))
+            .copied()
+            .collect();
+        assert!(!trace.spans.is_empty());
+        assert_eq!(
+            trace.spans, expected_spans,
+            "spans only for recomputed clients"
+        );
+        let expected_pms: Vec<Postmortem> = full_trace
+            .postmortems
+            .iter()
+            .filter(|p| recomputed(p.client))
+            .cloned()
+            .collect();
+        assert_eq!(trace.postmortems, expected_pms);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //! * [`PhaseState`], [`StateSeq`], [`PhaseInterval`] — per-element
 //!   phase/transition labels and the intervals extracted from them,
 //! * [`TraceStats`] — the dynamic execution characteristics reported in
-//!   Table 1(a) of the paper.
+//!   Table 1(a) of the paper,
+//! * [`DetectorEvent`] and [`DetectorObserver`] — the event stream of a
+//!   detector run and the trait that receives it.
 //!
 //! # Examples
 //!
@@ -38,6 +40,7 @@ mod derive;
 mod element;
 mod error;
 mod event;
+mod observe;
 mod phase;
 mod resync;
 mod sample;
@@ -53,6 +56,7 @@ pub use derive::{method_profile, method_profile_offsets, site_profile};
 pub use element::{BranchSite, MethodId, ParseElementError, ProfileElement};
 pub use error::TraceError;
 pub use event::{CallLoopEvent, CallLoopEventKind, LoopId};
+pub use observe::{DetectorEvent, DetectorObserver, NullObserver, ResizeKind};
 pub use phase::{
     boundaries_of, intervals_of, states_from_intervals, Boundary, BoundaryKind, PhaseInterval,
     PhaseState, StateSeq,

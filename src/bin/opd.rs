@@ -53,11 +53,12 @@
 //!   `--checkpoint`, completed virtual shards stream to a crash-safe
 //!   OPDK file and `--resume` restores them after a hard kill;
 //!   `--smoke` runs the aggressive CI invariant pass. With
-//!   `--postmortem-dir` or `--spans-out` the soak runs through the
-//!   traced engine: every quarantine, deadline kill, and hazard kill
-//!   dumps the session's flight-recorder ring as a self-contained
-//!   post-mortem file, and the full causal-span log (byte-identical
-//!   across thread counts) streams to the named file.
+//!   `--postmortem-dir` or `--spans-out` the soak records spans:
+//!   every quarantine, deadline kill, and hazard kill dumps the
+//!   session's flight-recorder ring as a self-contained post-mortem
+//!   file, and the full causal-span log (byte-identical across thread
+//!   counts) streams to the named file; under `--resume` only the
+//!   recomputed vshards are traced.
 //! * `opd loadgen [--scale N] [--json] [--write]` — the serve load
 //!   study: the committed soak, shed curves over queue capacity ×
 //!   backpressure mode, and the certificate-admission sweep;
@@ -1136,13 +1137,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOpts, CliError> {
             "--smoke cannot be combined with --checkpoint or --json",
         ));
     }
-    // The traced engine refuses checkpoints (restored shards have no
-    // span history), so the tracing flags conflict with --checkpoint.
-    if (opts.postmortem_dir.is_some() || opts.spans_out.is_some()) && opts.checkpoint.is_some() {
-        return Err(CliError::conflict(
-            "--postmortem-dir/--spans-out cannot be combined with --checkpoint",
-        ));
-    }
     Ok(opts)
 }
 
@@ -1220,38 +1214,34 @@ fn serve(opts: &ServeOpts) -> ExitCode {
         checkpoint: opts.checkpoint.as_ref().map(std::path::PathBuf::from),
         resume: opts.resume,
     };
-    let report = if traced {
-        match opd_serve::run_service_traced::<opd_obs::SpanLog>(
-            &config,
-            &source,
-            &options,
-            &opd_serve::NullSubscriber,
-            None,
-            &opd_serve::TraceConfig::default(),
-        ) {
-            Ok((report, trace)) => {
-                if let Err(code) = write_trace_outputs(
-                    &trace,
-                    opts.postmortem_dir.as_deref(),
-                    opts.spans_out.as_deref(),
-                    &reporter,
-                ) {
-                    return code;
-                }
-                report
-            }
-            Err(e) => {
-                eprintln!("error: serve: {e}");
-                return ExitCode::from(2);
-            }
-        }
+    let engine = if traced {
+        opd_serve::run_service_traced::<opd_obs::SpanLog>
     } else {
-        match opd_serve::run_service(&config, &source, &options) {
-            Ok(report) => report,
-            Err(e) => {
-                eprintln!("error: serve: {e}");
-                return ExitCode::from(2);
+        opd_serve::run_service_traced::<opd_obs::NullSpanRecorder>
+    };
+    let trace_config = opd_serve::TraceConfig::default();
+    let report = match engine(
+        &config,
+        &source,
+        &options,
+        &opd_serve::NullSubscriber,
+        None,
+        &trace_config,
+    ) {
+        Ok((report, trace)) => {
+            if let Err(code) = write_trace_outputs(
+                &trace,
+                opts.postmortem_dir.as_deref(),
+                opts.spans_out.as_deref(),
+                &reporter,
+            ) {
+                return code;
             }
+            report
+        }
+        Err(e) => {
+            eprintln!("error: serve: {e}");
+            return ExitCode::from(2);
         }
     };
 

@@ -145,22 +145,6 @@ fn flag_conflicts_exit_2() {
         stderr_of(&out)
     );
 
-    // The traced engine has no checkpoint support: trace outputs and
-    // --checkpoint are mutually exclusive.
-    let out = opd(&[
-        "serve",
-        "--postmortem-dir",
-        "/tmp/x",
-        "--checkpoint",
-        "/tmp/y",
-    ]);
-    assert_eq!(out.status.code(), Some(2));
-    assert!(
-        stderr_of(&out).contains("cannot be combined with --checkpoint"),
-        "{}",
-        stderr_of(&out)
-    );
-
     // --session only filters span-log replays, not live workloads.
     let out = opd(&["trace", "lexgen", "--session", "2"]);
     assert_eq!(out.status.code(), Some(2));

@@ -2,7 +2,8 @@
 //! post-mortem dumps are deterministic under seeded hazards,
 //! round-trip through their text format, and the
 //! `opd serve --smoke --postmortem-dir` → `opd flight` walkthrough
-//! documented in the README works end to end.
+//! documented in the README works end to end, and tracing composes
+//! with `--checkpoint`/`--resume`.
 
 mod common;
 
@@ -134,4 +135,51 @@ fn spans_out_round_trips_through_opd_trace() {
     }
 
     let _ = std::fs::remove_file(&path);
+}
+
+#[test]
+fn serve_tracing_composes_with_checkpoints() {
+    let dir = std::env::temp_dir().join(format!("opd_traced_ckpt_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    let path = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_owned();
+    let (ckpt, plain_log, ckpt_log, resumed_log) = (
+        path("serve.opdk"),
+        path("plain.log"),
+        path("ckpt.log"),
+        path("resumed.log"),
+    );
+    let serve = |extra: &[&str]| {
+        let mut args = vec!["serve", "--clients", "64", "--json"];
+        args.extend_from_slice(extra);
+        let out = opd(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        parse_json(&String::from_utf8_lossy(&out.stdout)).expect("serve --json is one document")
+    };
+
+    // Checkpointing a traced run changes neither its report nor its
+    // span log.
+    let plain = serve(&["--spans-out", &plain_log]);
+    let checkpointed = serve(&["--spans-out", &ckpt_log, "--checkpoint", &ckpt]);
+    assert_eq!(plain.get("digest").str(), checkpointed.get("digest").str());
+    let read = |p: &str| std::fs::read_to_string(p).expect("span log written");
+    assert_eq!(read(&plain_log), read(&ckpt_log));
+
+    // Resuming the complete checkpoint restores every vshard: the same
+    // outcome, and no spans, because nothing was recomputed.
+    let resumed = serve(&[
+        "--spans-out",
+        &resumed_log,
+        "--checkpoint",
+        &ckpt,
+        "--resume",
+    ]);
+    assert_eq!(plain.get("digest").str(), resumed.get("digest").str());
+    assert!(resumed.get("restored_vshards").as_u64() > 0);
+    assert_eq!(read(&resumed_log).lines().count(), 1, "header only");
+
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,12 +1,13 @@
-//! The observer-equivalence suite: for every workload and every
-//! default-grid config (plus adaptive-TW extras), the instrumented
-//! detector twins must (a) run bit-identically to the uninstrumented
-//! paths under a `NullObserver`, and (b) emit an event stream from
-//! which an external observer reconstructs exactly the phase
-//! transitions the detector reports — the guard that keeps
-//! `finish_step_observed` a faithful mirror of `finish_step`.
+//! The observer-equivalence suite: for every workload, every
+//! default-grid config (plus adaptive-TW extras) and both window
+//! kernels, the one generic detector body must (a) run bit-identically
+//! through its plain entry points and its observed ones under a
+//! `NullObserver`, and (b) emit an event stream from which an external
+//! observer reconstructs exactly the phase transitions the detector
+//! reports — the guard that event emission never perturbs the state
+//! machine it reports on.
 
-use opd_core::{DetectorConfig, InternedTrace, PhaseDetector};
+use opd_core::{DetectorConfig, InternedTrace, KernelKind, PhaseDetector};
 use opd_experiments::grid::{default_plan_grid, policy_grid, TwKind};
 use opd_microvm::workloads::Workload;
 use opd_obs::{DetectorEvent, NullObserver, RecordingObserver};
@@ -36,29 +37,32 @@ fn null_observed_runs_are_bit_identical_to_uninstrumented() {
     let configs = configs_under_test();
     for &workload in &Workload::ALL {
         let trace = interned(workload);
-        for &config in &configs {
-            let mut plain = PhaseDetector::new(config);
-            let _ = plain.run_interned_phases_only(&trace);
+        for kernel in [KernelKind::Scalar, KernelKind::Swar] {
+            for &config in &configs {
+                let mut plain = PhaseDetector::with_kernel(config, kernel);
+                let _ = plain.run_interned_phases_only(&trace);
 
-            let mut observed = PhaseDetector::new(config);
-            let _ = observed.run_interned_phases_observed(&trace, &mut NullObserver);
+                let mut observed = PhaseDetector::with_kernel(config, kernel);
+                let _ = observed.run_interned_phases_observed(&trace, &mut NullObserver);
 
-            assert_eq!(
-                plain.detected_phases(),
-                observed.detected_phases(),
-                "{workload:?} {config:?}"
-            );
-            assert_eq!(plain.state(), observed.state(), "{workload:?} {config:?}");
-            assert_eq!(
-                plain.last_similarity(),
-                observed.last_similarity(),
-                "{workload:?} {config:?}"
-            );
-            assert_eq!(
-                plain.elements_consumed(),
-                observed.elements_consumed(),
-                "{workload:?} {config:?}"
-            );
+                let case = format!("{workload:?} {kernel} {config:?}");
+                assert_eq!(
+                    plain.detected_phases(),
+                    observed.detected_phases(),
+                    "{case}"
+                );
+                assert_eq!(plain.state(), observed.state(), "{case}");
+                assert_eq!(
+                    plain.last_similarity(),
+                    observed.last_similarity(),
+                    "{case}"
+                );
+                assert_eq!(
+                    plain.elements_consumed(),
+                    observed.elements_consumed(),
+                    "{case}"
+                );
+            }
         }
     }
 }
