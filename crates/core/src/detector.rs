@@ -1,7 +1,5 @@
 //! The online phase detector: the `processProfile` driver of Figure 3.
 
-use std::collections::HashMap;
-
 use opd_trace::{
     BranchTrace, DetectorEvent, DetectorObserver, NullObserver, PhaseState, ProfileElement,
     ResizeKind, StateSeq,
@@ -10,8 +8,8 @@ use opd_trace::{
 use crate::analyzer::Analyzer;
 use crate::boundary::DetectedPhase;
 use crate::config::DetectorConfig;
-use crate::intern::InternedTrace;
-use crate::kernel::{KernelKind, SwarKernelState, SwarWindows, WindowKernel};
+use crate::intern::{InternedTrace, Interner};
+use crate::kernel::{KernelKind, SwarCursor, SwarKernelState, SwarWindows, WindowKernel};
 use crate::window::{ResizePolicy, TwPolicy, Windows};
 
 /// Error returned by the fallible detector entry points.
@@ -74,6 +72,8 @@ struct DetectorCore {
     consumed: u64,
     last_similarity: Option<f64>,
     phases: Vec<DetectedPhase>,
+    /// `(cw_len, tw_len)` after the most recent step or run.
+    window_lens: (usize, usize),
 }
 
 impl DetectorCore {
@@ -84,8 +84,13 @@ impl DetectorCore {
             consumed: 0,
             last_similarity: None,
             phases: Vec::new(),
+            window_lens: (0, 0),
             config,
         }
+    }
+
+    fn record_window_lens<K: WindowKernel>(&mut self, windows: &K) {
+        self.window_lens = (windows.cw_len(), windows.tw_len());
     }
 
     fn tw_grows(&self) -> bool {
@@ -232,6 +237,7 @@ fn drive<K: WindowKernel, S: StateSink, O: DetectorObserver>(
         sink.record(state, chunk.len());
         step += 1;
     }
+    core.record_window_lens(windows);
     if O::ACTIVE {
         if let Some(open) = core.phases.last() {
             if open.end.is_none() {
@@ -255,14 +261,20 @@ fn drive<K: WindowKernel, S: StateSink, O: DetectorObserver>(
 /// flush windows) applied at state changes.
 ///
 /// Two interchangeable window kernels back the detector (see
-/// [`KernelKind`] and the `kernel` module docs): the scalar deque
-/// reference and the default SoA/bitset (SWAR) kernel. The kernel
-/// choice affects only the interned-trace run paths
-/// ([`run_interned`](PhaseDetector::run_interned) and friends) —
+/// [`KernelKind`] and the `kernel` module docs): the default SoA/bitset
+/// (SWAR) kernel and the scalar deque reference, selected only with
+/// [`with_kernel`](PhaseDetector::with_kernel) or
+/// [`set_kernel`](PhaseDetector::set_kernel). The choice applies to
+/// every run path: interned-trace runs
+/// ([`run_interned`](PhaseDetector::run_interned) and friends) and
 /// streaming input via [`process`](PhaseDetector::process)/
-/// [`run`](PhaseDetector::run) always uses the scalar kernel, which is
-/// the only one that works without the whole trace up front. Both
-/// kernels produce bit-identical similarity and state streams.
+/// [`run`](PhaseDetector::run) alike. A streaming SWAR detector appends
+/// each step's interned ids to an owned log and resumes the kernel
+/// over it from the cursor the previous step saved, compacting away
+/// the prefix that has left both windows, so its memory stays
+/// proportional to the window occupancy however long the stream. Both
+/// kernels produce bit-identical similarity and state streams on every
+/// path.
 ///
 /// # Examples
 ///
@@ -281,10 +293,65 @@ fn drive<K: WindowKernel, S: StateSink, O: DetectorObserver>(
 #[derive(Debug, Clone)]
 pub struct PhaseDetector {
     core: DetectorCore,
-    windows: Windows,
-    interner: HashMap<u64, u32>,
     kernel: KernelKind,
+    /// The scalar kernel's windows, built on the first scalar run.
+    windows: Option<Windows>,
     swar: SwarKernelState,
+    stream: Stream,
+}
+
+/// The streaming path's state: the interner, plus the SWAR kernel's id
+/// log and the cursor of its run over that log.
+#[derive(Debug, Clone, Default)]
+struct Stream {
+    interner: Interner,
+    /// Ids of the stream's live suffix: `log[0]` is element `origin`.
+    log: Vec<u32>,
+    origin: u64,
+    cursor: SwarCursor,
+}
+
+impl Stream {
+    fn reset(&mut self) {
+        self.interner.clear();
+        self.log.clear();
+        self.origin = 0;
+        self.cursor = SwarCursor::default();
+    }
+
+    /// Drops the log prefix that has left both windows once it is at
+    /// least a quarter as long as the live suffix. Each compaction
+    /// copies at most four ids per id that died since the previous one
+    /// (amortized O(1) per element), and the log never holds more than
+    /// 5/4 of the window occupancy plus one step: under a Constant TW,
+    /// at most `log_bound(cw + tw + skip) + skip` ids.
+    fn compact(&mut self) {
+        let dead = self.cursor.front();
+        if dead > 0 && 4 * dead >= self.log.len() - dead {
+            self.log.copy_within(dead.., 0);
+            self.log.truncate(self.log.len() - dead);
+            self.cursor.rebase(dead);
+            self.origin += dead as u64;
+        }
+    }
+}
+
+/// Most ids a compacted streaming log holds before a step's append
+/// when at most `live` of them are in a window (see
+/// [`Stream::compact`]).
+fn log_bound(live: usize) -> usize {
+    live + live / 4
+}
+
+/// The scalar windows in `slot`, built for `config` on first use.
+fn scalar_windows<'w>(slot: &'w mut Option<Windows>, config: &DetectorConfig) -> &'w mut Windows {
+    slot.get_or_insert_with(|| {
+        Windows::with_weighted_tracking(
+            config.current_window(),
+            config.trailing_window(),
+            config.model() == crate::ModelPolicy::WeightedSet,
+        )
+    })
 }
 
 impl PhaseDetector {
@@ -300,15 +367,11 @@ impl PhaseDetector {
     #[must_use]
     pub fn with_kernel(config: DetectorConfig, kernel: KernelKind) -> Self {
         PhaseDetector {
-            windows: Windows::with_weighted_tracking(
-                config.current_window(),
-                config.trailing_window(),
-                config.model() == crate::ModelPolicy::WeightedSet,
-            ),
-            interner: HashMap::new(),
-            kernel,
-            swar: SwarKernelState::default(),
             core: DetectorCore::new(config),
+            kernel,
+            windows: None,
+            swar: SwarKernelState::default(),
+            stream: Stream::default(),
         }
     }
 
@@ -324,21 +387,32 @@ impl PhaseDetector {
         self.core.state
     }
 
-    /// Returns the scalar-kernel window state (for inspection and
-    /// tests of the streaming paths; interned runs on the default SWAR
-    /// kernel do not populate it).
+    /// Current-window length after the most recent step (streaming)
+    /// or at the end of the most recent interned run, on either
+    /// kernel.
     #[must_use]
-    pub fn windows(&self) -> &Windows {
-        &self.windows
+    pub fn cw_len(&self) -> usize {
+        self.core.window_lens.0
     }
 
-    /// The window kernel this detector's interned runs use.
+    /// Trailing-window length after the most recent step (streaming)
+    /// or at the end of the most recent interned run, on either
+    /// kernel. Exceeds the configured trailing window only under an
+    /// adaptive TW during a phase.
+    #[must_use]
+    pub fn tw_len(&self) -> usize {
+        self.core.window_lens.1
+    }
+
+    /// The window kernel this detector runs on.
     #[must_use]
     pub fn kernel(&self) -> KernelKind {
         self.kernel
     }
 
-    /// Switches the window kernel for subsequent interned runs.
+    /// Switches the window kernel for subsequent runs (start a new
+    /// stream, e.g. via [`reconfigure`](PhaseDetector::reconfigure),
+    /// before switching a streaming detector).
     pub fn set_kernel(&mut self, kernel: KernelKind) {
         self.kernel = kernel;
     }
@@ -349,20 +423,26 @@ impl PhaseDetector {
         self.core.last_similarity
     }
 
-    /// Pre-sizes the per-site window tables (of both kernels) for
+    /// Pre-sizes the selected kernel's per-site window tables for
     /// `n_sites` distinct elements — typically a static alphabet bound
     /// from the `opd-analyze` crate — so a run over any trace with at
     /// most that many distinct elements never grows them mid-scan.
     pub fn reserve_sites(&mut self, n_sites: usize) {
-        self.windows.ensure_sites(n_sites);
-        self.swar.ensure_sites(n_sites);
+        match self.kernel {
+            KernelKind::Scalar => {
+                scalar_windows(&mut self.windows, &self.core.config).ensure_sites(n_sites);
+            }
+            KernelKind::Swar => self.swar.ensure_sites(n_sites),
+        }
     }
 
     /// Bytes of per-site kernel storage currently held — the memory
     /// high-water mark the resource certificates bound (`ensure_sites`
     /// only ever grows the columns). Counts the SWAR count/bit-lane
-    /// state; the scalar window deques are bounded by `cw + tw`
-    /// elements and are not per-site.
+    /// state, which batch and streaming runs on the default kernel
+    /// size alike; the scalar window deques are bounded by `cw + tw`
+    /// elements and are not per-site, and neither is the streaming id
+    /// log (see the type docs).
     #[must_use]
     pub fn kernel_footprint_bytes(&self) -> u64 {
         self.swar.footprint_bytes()
@@ -403,14 +483,57 @@ impl PhaseDetector {
     pub fn process(&mut self, elements: &[ProfileElement]) -> PhaseState {
         assert!(!elements.is_empty(), "a step needs at least one element");
         let tw_grows = self.core.tw_grows();
-        for e in elements {
-            let next = self.interner.len() as u32;
-            let id = *self.interner.entry(e.raw()).or_insert(next);
-            self.windows.push(id, tw_grows);
-        }
+        let stream = &mut self.stream;
         // Streaming steps emit no events, so the step index is unused.
-        self.core
-            .finish_step(&mut self.windows, elements.len(), 0, &mut NullObserver)
+        match self.kernel {
+            KernelKind::Scalar => {
+                let windows = scalar_windows(&mut self.windows, &self.core.config);
+                for &e in elements {
+                    windows.push(stream.interner.intern(e), tw_grows);
+                }
+                let state = self
+                    .core
+                    .finish_step(windows, elements.len(), 0, &mut NullObserver);
+                self.core.record_window_lens(windows);
+                state
+            }
+            KernelKind::Swar => {
+                let config = &self.core.config;
+                let (cw, tw) = (config.current_window(), config.trailing_window());
+                if self.core.consumed == 0 {
+                    // A new stream: drop counts an earlier run left, and
+                    // size the log once for its Constant-TW high-water
+                    // mark (see `Stream::compact`).
+                    self.swar.clear();
+                    let skip = config.skip_factor();
+                    stream.log.reserve(log_bound(cw + tw + skip) + skip);
+                }
+                let start = stream.log.len();
+                let interner = &mut stream.interner;
+                stream
+                    .log
+                    .extend(elements.iter().map(|&e| interner.intern(e)));
+                let n_sites = interner.len();
+                self.swar.ensure_sites(n_sites);
+                let mut windows = SwarWindows::resume(
+                    &mut self.swar,
+                    &stream.log,
+                    stream.origin,
+                    n_sites,
+                    stream.cursor,
+                    cw,
+                    tw,
+                );
+                windows.advance(&stream.log[start..], tw_grows);
+                let state =
+                    self.core
+                        .finish_step(&mut windows, elements.len(), 0, &mut NullObserver);
+                self.core.record_window_lens(&windows);
+                stream.cursor = windows.cursor();
+                stream.compact();
+                state
+            }
+        }
     }
 
     /// Like [`process`](PhaseDetector::process), but rejects an empty
@@ -479,8 +602,9 @@ impl PhaseDetector {
     ) {
         match self.kernel {
             KernelKind::Scalar => {
-                self.windows.ensure_sites(trace.distinct_count() as usize);
-                drive(&mut self.core, &mut self.windows, trace, sink, observer);
+                let windows = scalar_windows(&mut self.windows, &self.core.config);
+                windows.ensure_sites(trace.distinct_count() as usize);
+                drive(&mut self.core, windows, trace, sink, observer);
             }
             KernelKind::Swar => {
                 let config = &self.core.config;
@@ -516,22 +640,26 @@ impl PhaseDetector {
 
     /// Resets this detector to a fresh run of `config`, reusing the
     /// allocations of both kernels (per-site tables, element deque,
-    /// distinct lists) sized by previous runs and keeping the kernel
-    /// choice. Equivalent to `*self = PhaseDetector::new(config)` but
+    /// distinct lists), the interner and the streaming id log sized by
+    /// previous runs, and keeping the kernel choice. Equivalent to
+    /// `*self = PhaseDetector::with_kernel(config, self.kernel())` but
     /// without reallocating — the sweep engine's per-thread scratch
     /// path.
     pub fn reconfigure(&mut self, config: DetectorConfig) {
-        self.windows.reset_shape(
-            config.current_window(),
-            config.trailing_window(),
-            config.model() == crate::ModelPolicy::WeightedSet,
-        );
+        if let Some(windows) = &mut self.windows {
+            windows.reset_shape(
+                config.current_window(),
+                config.trailing_window(),
+                config.model() == crate::ModelPolicy::WeightedSet,
+            );
+        }
+        self.stream.reset();
         self.core.analyzer = Analyzer::new(config.analyzer());
         self.core.state = PhaseState::Transition;
-        self.interner.clear();
         self.core.consumed = 0;
         self.core.last_similarity = None;
         self.core.phases.clear();
+        self.core.window_lens = (0, 0);
         self.core.config = config;
     }
 
@@ -716,27 +844,61 @@ mod tests {
             .tw_policy(TwPolicy::Adaptive)
             .build()
             .unwrap();
-        let mut d = PhaseDetector::new(cfg);
-        for i in 0..200 {
-            d.process(&[elem(i % 4)]);
+        for kernel in [KernelKind::Swar, KernelKind::Scalar] {
+            let mut d = PhaseDetector::with_kernel(cfg, kernel);
+            for i in 0..200 {
+                d.process(&[elem(i % 4)]);
+            }
+            assert!(d.state().is_phase());
+            assert!(
+                d.tw_len() > d.config().trailing_window(),
+                "{kernel}: adaptive TW should have grown: {} <= {}",
+                d.tw_len(),
+                d.config().trailing_window()
+            );
         }
-        assert!(d.state().is_phase());
-        assert!(
-            d.windows().tw_len() > d.windows().tw_cap(),
-            "adaptive TW should have grown: {} <= {}",
-            d.windows().tw_len(),
-            d.windows().tw_cap()
-        );
     }
 
     #[test]
     fn constant_tw_stays_at_capacity() {
-        let mut d = PhaseDetector::new(config(8));
-        for i in 0..200 {
-            d.process(&[elem(i % 4)]);
+        for kernel in [KernelKind::Swar, KernelKind::Scalar] {
+            let mut d = PhaseDetector::with_kernel(config(8), kernel);
+            for i in 0..200 {
+                d.process(&[elem(i % 4)]);
+            }
+            assert!(d.state().is_phase());
+            assert_eq!(d.tw_len(), 8, "{kernel}");
         }
-        assert!(d.state().is_phase());
-        assert_eq!(d.windows().tw_len(), 8);
+    }
+
+    #[test]
+    fn streaming_id_log_stays_within_the_window_occupancy() {
+        // Constant TW: at most `tw + max(cw, skip)` live elements. The
+        // log compacts once its dead prefix reaches a quarter of the
+        // live suffix, so it holds at most 5/4 of that plus one step —
+        // the capacity a new stream reserves, which it then never
+        // outgrows.
+        let (cw, tw, skip) = (64, 32, 8);
+        let cfg = DetectorConfig::builder()
+            .current_window(cw)
+            .trailing_window(tw)
+            .skip_factor(skip)
+            .build()
+            .unwrap();
+        let mut d = PhaseDetector::new(cfg);
+        let trace = block_trace(1_000, 1_000, 6);
+        for chunk in trace.as_slice().chunks(skip) {
+            d.process(chunk);
+            assert!(
+                d.stream.log.capacity() <= 2 * (cw + tw + skip),
+                "log capacity {} after {} elements",
+                d.stream.log.capacity(),
+                d.elements_consumed()
+            );
+        }
+        assert_eq!(d.elements_consumed(), 1_000_000);
+        assert!(d.stream.origin > 999_000, "the dead prefix was compacted");
+        assert!(d.detected_phases().len() > 100);
     }
 
     #[test]

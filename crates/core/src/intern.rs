@@ -1,10 +1,131 @@
 //! Dense interning of profile elements, so sweeps can replay one trace
 //! through thousands of detector configurations without re-hashing.
+//!
+//! Both the batch path ([`InternedTrace`]) and the streaming detector
+//! intern through one [`Interner`]: a hash table keyed by a folded
+//! 64×64→128-bit multiply under a per-process random key. Ids are
+//! assigned in first-seen order, so every output is independent of the
+//! key.
 
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::OnceLock;
 
 use opd_trace::ProfileElement;
+
+/// Folds the 128-bit product of `a` and `b` to 64 bits.
+#[inline]
+fn folded_multiply(a: u64, b: u64) -> u64 {
+    let product = u128::from(a) * u128::from(b);
+    (product as u64) ^ ((product >> 64) as u64)
+}
+
+/// The interner's hash key: drawn once per process from `std`'s
+/// [`RandomState`], so element values crafted by an untrusted stream
+/// cannot be chosen to collide in the table.
+#[derive(Debug, Clone, Copy)]
+struct FoldKey {
+    xor: u64,
+    mul: u64,
+}
+
+impl FoldKey {
+    fn process() -> FoldKey {
+        static KEY: OnceLock<FoldKey> = OnceLock::new();
+        *KEY.get_or_init(|| {
+            let random = RandomState::new();
+            FoldKey {
+                xor: random.hash_one(0u64),
+                mul: random.hash_one(1u64) | 1,
+            }
+        })
+    }
+}
+
+impl Default for FoldKey {
+    fn default() -> Self {
+        FoldKey::process()
+    }
+}
+
+impl BuildHasher for FoldKey {
+    type Hasher = FoldHasher;
+
+    #[inline]
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher {
+            key: *self,
+            hash: 0,
+        }
+    }
+}
+
+/// One folded multiply per `u64` written (table keys are packed
+/// profile elements, so that is one per lookup).
+struct FoldHasher {
+    key: FoldKey,
+    hash: u64,
+}
+
+impl Hasher for FoldHasher {
+    #[inline]
+    fn write_u64(&mut self, word: u64) {
+        self.hash = folded_multiply(word ^ self.hash ^ self.key.xor, self.key.mul);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.hash
+    }
+}
+
+/// Maps profile elements to dense ids `0..len()` in first-seen order.
+/// Shared by [`InternedTrace`] construction and the streaming
+/// detector.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Interner {
+    map: HashMap<u64, u32, FoldKey>,
+}
+
+impl Interner {
+    /// An interner pre-sized for `capacity` distinct elements.
+    pub(crate) fn with_capacity(capacity: usize) -> Interner {
+        Interner::with_key(FoldKey::process(), capacity)
+    }
+
+    fn with_key(key: FoldKey, capacity: usize) -> Interner {
+        Interner {
+            map: HashMap::with_capacity_and_hasher(capacity, key),
+        }
+    }
+
+    /// The dense id of `element`, assigning the next one if unseen.
+    #[inline]
+    pub(crate) fn intern(&mut self, element: ProfileElement) -> u32 {
+        let next = self.map.len() as u32;
+        *self.map.entry(element.raw()).or_insert(next)
+    }
+
+    /// Number of distinct elements interned so far.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Forgets every element, keeping the table's capacity.
+    pub(crate) fn clear(&mut self) {
+        self.map.clear();
+    }
+}
 
 /// A branch trace with every distinct profile element mapped to a dense
 /// id in `0..distinct_count`.
@@ -66,16 +187,12 @@ impl InternedTrace {
         I: IntoIterator<Item = ProfileElement>,
     {
         let iter = elements.into_iter();
-        let mut map: HashMap<u64, u32> = HashMap::with_capacity(distinct_hint);
+        let mut interner = Interner::with_capacity(distinct_hint);
         let mut ids = Vec::with_capacity(iter.size_hint().0);
-        for e in iter {
-            let next = map.len() as u32;
-            let id = *map.entry(e.raw()).or_insert(next);
-            ids.push(id);
-        }
+        ids.extend(iter.map(|e| interner.intern(e)));
         InternedTrace {
             ids,
-            distinct: map.len() as u32,
+            distinct: interner.len() as u32,
             site_index: OnceLock::new(),
         }
     }
@@ -255,6 +372,30 @@ mod tests {
                 plain
             );
         }
+    }
+
+    #[test]
+    fn ids_do_not_depend_on_the_hash_key() {
+        let e = |o| ProfileElement::new(MethodId::new(o % 7), o, o % 3 == 0);
+        let elements: Vec<ProfileElement> = (0..5_000u32).map(|i| e(i * 31 % 977)).collect();
+        let keys = [
+            FoldKey { xor: 0, mul: 1 },
+            FoldKey {
+                xor: 0x9e37_79b9_7f4a_7c15,
+                mul: 0xd6e8_feb8_6659_fd93,
+            },
+            FoldKey::process(),
+        ];
+        let ids: Vec<Vec<u32>> = keys
+            .iter()
+            .map(|&key| {
+                let mut interner = Interner::with_key(key, 0);
+                elements.iter().map(|&x| interner.intern(x)).collect()
+            })
+            .collect();
+        assert_eq!(ids[0], ids[1]);
+        assert_eq!(ids[0], ids[2]);
+        assert_eq!(ids[0], InternedTrace::from_elements(elements).ids());
     }
 
     #[test]

@@ -5,12 +5,13 @@
 //! implementations exist:
 //!
 //! * the scalar [`Windows`] deque — the reference kernel, retained
-//!   verbatim as the differential-testing baseline and as the only
-//!   kernel for streaming input ([`PhaseDetector::process`]
-//!   (crate::PhaseDetector::process) cannot know the trace up front);
-//! * [`SwarWindows`] — the default kernel for runs over a pre-interned
-//!   trace. It never materializes a window buffer at all: because
-//!   every window operation (push, phase-end flush with CW re-seeding,
+//!   verbatim as the differential-testing baseline (selected only by
+//!   tests, an explicit [`KernelKind::Scalar`] and the kernel
+//!   benchmark's baseline arm);
+//! * [`SwarWindows`] — the default kernel, for batch runs over a
+//!   pre-interned trace and for streaming input alike. It never
+//!   materializes a window buffer at all: because every window
+//!   operation (push, phase-end flush with CW re-seeding,
 //!   anchor-and-resize) preserves the invariant that *the buffered
 //!   elements are one contiguous run of the trace*, the whole window
 //!   state is three indices `a ≤ b ≤ c` with TW = `trace[a..b)` and
@@ -23,6 +24,15 @@
 //!   unweighted and Pearson set reductions are popcount passes over
 //!   `lanes = ⌈sites/64⌉` words instead of per-site scalar loops.
 //!
+//! A streaming detector ([`PhaseDetector::process`]
+//! (crate::PhaseDetector::process)) cannot know the trace up front,
+//! so it keeps its own id log and [`resume`](SwarWindows::resume)s a
+//! dense-mode run over it each step from the [`SwarCursor`] the
+//! previous step saved. The log prefix before `a` is dead, so the
+//! detector compacts it away and records how many elements it dropped
+//! as the run's *origin*: run indices stay log-relative while
+//! reported offsets stay global.
+//!
 //! For large skip factors even O(step) per-element work dominates:
 //! a config judging every `skip ≥ `[`RANK_MODE_MIN_SKIP`] elements
 //! reads window *counts* far more rarely than it crosses elements. In
@@ -31,13 +41,14 @@
 //! O(1), so both windows' count vectors fall out of rank differences
 //! at the three run endpoints and an advance costs nothing at all —
 //! the kernel pays O(sites) per *judge* instead of O(step) per
-//! *advance*.
+//! *advance*. Rank mode needs the whole trace, so streaming runs stay
+//! dense.
 //!
 //! Every kernel reduces its state to the same exact integer
 //! quantities and shares the floating-point tail in
 //! [`crate::model::exact`], so similarity streams are bit-identical
-//! across kernels by construction; `tests/kernel_equivalence.rs`
-//! locks this differentially.
+//! across kernels by construction; `tests/kernel_equivalence.rs` and
+//! `tests/streaming_equivalence.rs` lock this differentially.
 
 use std::borrow::BorrowMut;
 
@@ -89,6 +100,9 @@ pub(crate) trait WindowKernel {
 
     /// `true` once both windows have filled since the last flush.
     fn is_warm(&self) -> bool;
+
+    /// Current-window length.
+    fn cw_len(&self) -> usize;
 
     /// Trailing-window length.
     fn tw_len(&self) -> usize;
@@ -149,6 +163,10 @@ impl WindowKernel for Windows {
         Windows::is_warm(self)
     }
 
+    fn cw_len(&self) -> usize {
+        Windows::cw_len(self)
+    }
+
     fn tw_len(&self) -> usize {
         Windows::tw_len(self)
     }
@@ -206,6 +224,15 @@ pub(crate) struct SwarKernelState {
 }
 
 impl SwarKernelState {
+    /// Zeroes every count and bit lane (the columns keep their
+    /// length), so a new run may start over any prefix of them.
+    pub(crate) fn clear(&mut self) {
+        self.cw_counts.fill(0);
+        self.tw_counts.fill(0);
+        self.cw_bits.fill(0);
+        self.tw_bits.fill(0);
+    }
+
     /// Grows every per-site column to cover ids `0..n_sites`.
     pub(crate) fn ensure_sites(&mut self, n_sites: usize) {
         if self.cw_counts.len() < n_sites {
@@ -244,8 +271,37 @@ pub fn swar_footprint_bytes(n_sites: u64) -> u64 {
         + 2 * core::mem::size_of::<u64>() as u64 * lanes
 }
 
-/// One SWAR-kernel run over a pre-interned trace: the three run
-/// indices plus the count/bit state (see the module docs).
+/// Where a SWAR run stands: the three run indices and the sticky warm
+/// flag — everything a streaming detector saves between steps to
+/// [`resume`](SwarWindows::resume) the run.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct SwarCursor {
+    a: usize,
+    b: usize,
+    c: usize,
+    warm: bool,
+}
+
+impl SwarCursor {
+    /// Index of the first live element: everything before it has left
+    /// both windows.
+    pub(crate) fn front(&self) -> usize {
+        self.a
+    }
+
+    /// Rebases the indices after the first `dead ≤ front()` elements
+    /// were dropped from the run's id log.
+    pub(crate) fn rebase(&mut self, dead: usize) {
+        debug_assert!(dead <= self.a, "only dead elements may be dropped");
+        self.a -= dead;
+        self.b -= dead;
+        self.c -= dead;
+    }
+}
+
+/// One SWAR-kernel run over a pre-interned trace (or a streaming
+/// detector's id log): the three run indices plus the count/bit state
+/// (see the module docs).
 ///
 /// The state storage is generic: the engine-driven run borrows the
 /// per-thread scratch (`S = &mut SwarKernelState`, the default), while
@@ -260,6 +316,9 @@ where
     /// `Some` in rank mode; `None` in dense mode.
     index: Option<&'a SiteIndex>,
     st: S,
+    /// Global offset of `ids[0]`: the elements a streaming detector
+    /// has compacted out of its log (zero for batch runs).
+    origin: u64,
     n_sites: usize,
     lanes: usize,
     cw_cap: usize,
@@ -300,6 +359,7 @@ impl<'a> SwarWindows<'a> {
             ids: trace.ids(),
             index,
             st,
+            origin: 0,
             n_sites,
             lanes,
             cw_cap,
@@ -308,6 +368,46 @@ impl<'a> SwarWindows<'a> {
             b: 0,
             c: 0,
             warm: false,
+        }
+    }
+
+    /// Resumes a dense-mode run over a streaming id log at `cursor`.
+    /// `st` must hold exactly the counts of the windows `cursor`
+    /// describes (all zero for a fresh run) and cover `n_sites` sites;
+    /// `ids[0]` is the stream's element `origin`.
+    pub(crate) fn resume(
+        st: &'a mut SwarKernelState,
+        ids: &'a [u32],
+        origin: u64,
+        n_sites: usize,
+        cursor: SwarCursor,
+        cw_cap: usize,
+        tw_cap: usize,
+    ) -> SwarWindows<'a> {
+        debug_assert!(cursor.c <= ids.len() && st.cw_counts.len() >= n_sites);
+        SwarWindows {
+            ids,
+            index: None,
+            st,
+            origin,
+            n_sites,
+            lanes: n_sites.div_ceil(64),
+            cw_cap,
+            tw_cap,
+            a: cursor.a,
+            b: cursor.b,
+            c: cursor.c,
+            warm: cursor.warm,
+        }
+    }
+
+    /// The run's position, for a later [`resume`](Self::resume).
+    pub(crate) fn cursor(&self) -> SwarCursor {
+        SwarCursor {
+            a: self.a,
+            b: self.b,
+            c: self.c,
+            warm: self.warm,
         }
     }
 }
@@ -320,6 +420,7 @@ impl<'a> ForkableKernel for SwarWindows<'a> {
             ids: self.ids,
             index: self.index,
             st: (*self.st).clone(),
+            origin: self.origin,
             n_sites: self.n_sites,
             lanes: self.lanes,
             cw_cap: self.cw_cap,
@@ -514,6 +615,10 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
         self.warm
     }
 
+    fn cw_len(&self) -> usize {
+        self.c - self.b
+    }
+
     fn tw_len(&self) -> usize {
         self.b - self.a
     }
@@ -568,11 +673,11 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
     }
 
     fn offset_of_index(&self, index: usize) -> u64 {
-        (self.a + index) as u64
+        self.origin + (self.a + index) as u64
     }
 
     fn anchor_and_resize(&mut self, anchor_idx: usize, resize: ResizePolicy) -> u64 {
-        let anchor_offset = (self.a + anchor_idx) as u64;
+        let anchor_offset = self.offset_of_index(anchor_idx);
         let tw_len = self.b - self.a;
         let a2 = self.a + anchor_idx.min(tw_len);
         // Slide extends the TW into the CW up to its capacity,

@@ -28,9 +28,9 @@
 
 use std::collections::VecDeque;
 
-use opd_core::{DetectedPhase, DetectorConfig, PhaseDetector};
+use opd_core::{DetectedPhase, DetectorConfig, InternedTrace, PhaseDetector};
 use opd_obs::{DetectorEvent, SpanKind, SpanRecorder};
-use opd_trace::{decode_trace_resync, BranchTrace, ProfileElement};
+use opd_trace::{decode_trace_resync, ProfileElement};
 
 use crate::flight::{PostmortemReason, SessionTracer};
 use crate::ledger::ShedLedger;
@@ -803,17 +803,13 @@ impl Session {
         self.stats.phase_digest = phase_digest(phases);
     }
 
-    /// Bit-identity check: a fresh offline detector over the session
+    /// Bit-identity check: a fresh batch run over the interned session
     /// log must produce the same phase stream the incremental path
     /// did.
     fn offline_matches(&self) -> bool {
-        let mut offline = BranchTrace::with_capacity(self.accepted.len());
-        for &e in &self.accepted {
-            offline.push(e);
-        }
+        let offline = InternedTrace::from_elements(self.accepted.iter().copied());
         let mut reference = PhaseDetector::new(self.config);
-        let _ = reference.run(&offline);
-        reference.detected_phases() == self.detector.detected_phases()
+        reference.run_interned_phases_only(&offline) == self.detector.detected_phases()
     }
 }
 

@@ -10,7 +10,7 @@
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
 # BENCH_cert.json freshness), release-mode kernel-equivalence and
-# study-equivalence smokes, the BENCH_kernel.json
+# streaming-equivalence and study-equivalence smokes, the BENCH_kernel.json
 # acceptance/freshness tests, an opd-core test run with `obs` off
 # (the null-observer-only build of the detector and sweep loops), the
 # feature-gate guards keeping opd-core free of opd-obs when `obs` is
@@ -69,6 +69,11 @@ RUST_BACKTRACE=1 cargo test -q -p opd --test cert_artifact
 # exercises the same differential + proptest suite in debug; release
 # is where the SWAR closed forms actually vectorise).
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernels_agree
+# Streaming equivalence under release codegen: `process` in
+# skip-sized and arbitrary steps, on both kernels, must match a batch
+# `run_interned` bit for bit across compactions of the streaming id
+# log and a `reconfigure`.
+RUST_BACKTRACE=1 cargo test -q --release -p opd --test streaming_equivalence
 # Study equivalence under release codegen: every paper artifact and
 # extension study renders its pinned text, identically at 1 and 2
 # threads, through the one-sweep-per-artifact scored path.

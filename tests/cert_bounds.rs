@@ -52,17 +52,20 @@ fn certify_all() -> Vec<Certified> {
         .collect()
 }
 
-/// The peak scalar window occupancy of one run: elements resident in
-/// CW + TW after each skip-aligned step.
-fn measured_peak_occupancy(config: &opd_core::DetectorConfig, elements: &[ProfileElement]) -> u64 {
+/// The peak window occupancy of one streamed run (elements resident
+/// in CW + TW after each skip-aligned step), with the detector that
+/// streamed it.
+fn measured_peak_occupancy(
+    config: &opd_core::DetectorConfig,
+    elements: &[ProfileElement],
+) -> (u64, PhaseDetector) {
     let mut detector = PhaseDetector::new(*config);
     let mut peak = 0u64;
     for chunk in elements.chunks(config.skip_factor().max(1)) {
         detector.process(chunk);
-        let w = detector.windows();
-        peak = peak.max((w.cw_len() + w.tw_len()) as u64);
+        peak = peak.max((detector.cw_len() + detector.tw_len()) as u64);
     }
-    peak
+    (peak, detector)
 }
 
 #[test]
@@ -73,9 +76,10 @@ fn every_dynamic_counter_lands_inside_its_certified_interval() {
     for c in certify_all() {
         let dynamic_elements = c.elements.len() as u64;
         let dynamic_sites = u64::from(c.interned.distinct_count());
-        // All grid members share one window shape, so one scalar
-        // occupancy measurement covers the whole row.
-        let peak_occupancy = measured_peak_occupancy(&configs[0], &c.elements);
+        // All grid members share one window shape, so one streamed
+        // occupancy measurement covers the whole row; so does its
+        // per-site kernel footprint, which depends only on the sites.
+        let (peak_occupancy, streamed) = measured_peak_occupancy(&configs[0], &c.elements);
         for (ci, config) in configs.iter().enumerate() {
             let cert = ResourceCertificate::from_parts(&c.absint, &c.flow, config, CERT_FUEL);
             let ctx = format!("{} × config #{ci}", c.workload);
@@ -117,6 +121,14 @@ fn every_dynamic_counter_lands_inside_its_certified_interval() {
                     .contains(detector.kernel_footprint_bytes()),
                 "{ctx}: memory {} not in [{},{}]",
                 detector.kernel_footprint_bytes(),
+                cert.memory_bytes().lo(),
+                cert.memory_bytes().hi(),
+            );
+            assert!(
+                cert.memory_bytes()
+                    .contains(streamed.kernel_footprint_bytes()),
+                "{ctx}: streamed memory {} not in [{},{}]",
+                streamed.kernel_footprint_bytes(),
                 cert.memory_bytes().lo(),
                 cert.memory_bytes().hi(),
             );

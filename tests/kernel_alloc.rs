@@ -1,7 +1,8 @@
 //! Allocation discipline of the window kernels: a steady-state
 //! detector run allocates nothing on either kernel — including
 //! Pearson on the SWAR kernel, whose scalar counterpart needs a
-//! per-judgement site union — and pre-sizing the site tables from the
+//! per-judgement site union — nor does a steady-state SWAR stream,
+//! and pre-sizing the site tables from the
 //! static alphabet bound (`reserve_sites`, backed by
 //! `Windows::with_site_capacity`) moves every site-table growth out of
 //! the first run. The shared counting allocator counts per thread,
@@ -74,6 +75,33 @@ fn scalar_steady_state_allocates_nothing_for_set_models() {
             let _ = detector.run_interned_phases_only(&trace);
         });
         assert_eq!(steady, 0, "{model:?}: scalar steady state allocated");
+    }
+}
+
+/// Streams `branches` through `detector` in skip-sized steps.
+fn stream(detector: &mut PhaseDetector, branches: &opd_trace::BranchTrace) {
+    for chunk in branches.as_slice().chunks(detector.config().skip_factor()) {
+        detector.process(chunk);
+    }
+    detector.close_open_phase();
+}
+
+#[test]
+fn swar_streaming_steady_state_allocates_nothing_for_set_models() {
+    // The streaming SWAR path keeps its interner, id log, count/bit
+    // columns and phase buffer across `reconfigure`, and the log's
+    // compaction never outgrows the capacity one warm run reached.
+    let branches = workload_branches(20_000);
+    for model in [ModelPolicy::UnweightedSet, ModelPolicy::WeightedSet] {
+        let config = config_for(model);
+        let mut detector = PhaseDetector::with_kernel(config, KernelKind::Swar);
+        stream(&mut detector, &branches);
+        detector.reconfigure(config);
+        let (_, steady) = allocations_during(|| stream(&mut detector, &branches));
+        assert_eq!(
+            steady, 0,
+            "{model:?}: SWAR streaming steady state allocated"
+        );
     }
 }
 

@@ -143,12 +143,15 @@ fn figure_2_walkthrough() {
     //                                          re-seeded with the last
     //                                          skipFactor elements)
     //   G:   refilling                  -> T
-    use opd::core::{AnalyzerPolicy, DetectorConfig, PhaseDetector, TwPolicy};
+    use opd::core::{AnalyzerPolicy, DetectorConfig, KernelKind, PhaseDetector, TwPolicy};
     use opd::trace::{MethodId, PhaseState, ProfileElement};
 
     let elem = |site: u32| ProfileElement::new(MethodId::new(0), site, true);
 
-    for policy in [TwPolicy::Constant, TwPolicy::Adaptive] {
+    for (policy, kernel) in [TwPolicy::Constant, TwPolicy::Adaptive]
+        .into_iter()
+        .flat_map(|p| [KernelKind::Swar, KernelKind::Scalar].map(|k| (p, k)))
+    {
         let config = DetectorConfig::builder()
             .current_window(5)
             .trailing_window(5)
@@ -157,21 +160,21 @@ fn figure_2_walkthrough() {
             .analyzer(AnalyzerPolicy::Threshold(0.6))
             .build()
             .unwrap();
-        let mut d = PhaseDetector::new(config);
+        let mut d = PhaseDetector::with_kernel(config, kernel);
 
         // Rows A-B: ten distinct transition elements fill the windows.
         for site in 0..10 {
             assert_eq!(
                 d.process(&[elem(site)]),
                 PhaseState::Transition,
-                "{policy}: fill"
+                "{policy} on {kernel}: fill"
             );
         }
         // Row C: full windows, disjoint contents: still T.
         assert_eq!(
             d.process(&[elem(10)]),
             PhaseState::Transition,
-            "{policy}: row C"
+            "{policy} on {kernel}: row C"
         );
 
         // Feed a stable phase (one repeated site). The detector turns
@@ -192,39 +195,35 @@ fn figure_2_walkthrough() {
             assert_eq!(
                 d.process(&[elem(100)]),
                 PhaseState::Phase,
-                "{policy}: row E"
+                "{policy} on {kernel}: row E"
             );
         }
         if policy == TwPolicy::Adaptive {
             assert!(
-                d.windows().tw_len() > d.windows().tw_cap(),
+                d.tw_len() > d.config().trailing_window(),
                 "adaptive TW holds the whole phase (Figure 2b)"
             );
         } else {
-            assert_eq!(
-                d.windows().tw_len(),
-                5,
-                "constant TW stays fixed (Figure 2a)"
-            );
+            assert_eq!(d.tw_len(), 5, "constant TW stays fixed (Figure 2a)");
         }
 
         // Row F: the phase ends at the first dissimilar element.
         assert_eq!(
             d.process(&[elem(200)]),
             PhaseState::Transition,
-            "{policy}: row F"
+            "{policy} on {kernel}: row F"
         );
         // Windows were flushed and the CW re-seeded with the last
         // skipFactor (= 1) elements.
-        assert_eq!(d.windows().tw_len(), 0, "{policy}: TW flushed");
-        assert_eq!(d.windows().cw_len(), 1, "{policy}: CW re-seeded");
+        assert_eq!(d.tw_len(), 0, "{policy} on {kernel}: TW flushed");
+        assert_eq!(d.cw_len(), 1, "{policy} on {kernel}: CW re-seeded");
 
         // Row G: refilling keeps reporting T.
         for site in 201..209 {
             assert_eq!(
                 d.process(&[elem(site)]),
                 PhaseState::Transition,
-                "{policy}: row G"
+                "{policy} on {kernel}: row G"
             );
         }
     }
