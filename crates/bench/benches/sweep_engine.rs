@@ -58,7 +58,7 @@ fn median_millis(mut f: impl FnMut()) -> f64 {
 fn write_summary(configs: usize, trace_len: usize, naive_ms: f64, engine_ms: f64) {
     let speedup = naive_ms / engine_ms;
     let json = format!(
-        "{{\n  \"bench\": \"sweep_engine\",\n  \"workload\": \"lexgen\",\n  \"trace_len\": {trace_len},\n  \"configs\": {configs},\n  \"shape\": {{ \"cw\": {CW}, \"tw\": {CW}, \"skip\": 1 }},\n  \"scans\": {{ \"naive\": {configs}, \"engine\": 1 }},\n  \"samples\": {JSON_SAMPLES},\n  \"naive_ms\": {naive_ms:.3},\n  \"engine_ms\": {engine_ms:.3},\n  \"speedup\": {speedup:.2}\n}}\n"
+        "{{\n  \"schema\": \"opd-bench-sweep-v1\",\n  \"bench\": \"sweep_engine\",\n  \"workload\": \"lexgen\",\n  \"trace_len\": {trace_len},\n  \"configs\": {configs},\n  \"shape\": {{ \"cw\": {CW}, \"tw\": {CW}, \"skip\": 1 }},\n  \"scans\": {{ \"naive\": {configs}, \"engine\": 1 }},\n  \"samples\": {JSON_SAMPLES},\n  \"naive_ms\": {naive_ms:.3},\n  \"engine_ms\": {engine_ms:.3},\n  \"speedup\": {speedup:.2}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_sweep.json");
     std::fs::write(path, &json).expect("write BENCH_sweep.json");

@@ -55,18 +55,42 @@
 //! snapshot, and the member judges that *phase class* (advanced with
 //! TW growth each step) until its phase ends — at which point the
 //! member records its refill point and rejoins the FIFO pool, exactly
-//! like a Constant-TW flush. Members entering on the same step whose
-//! anchor and resize policies produce the *same resulting window
-//! boundaries* — computed in closed form before forking, since
-//! windows are always contiguous trace slices — share one class: the
-//! four `(anchor, resize)` pairs routinely degenerate to one fork
-//! (both anchors return index 0 when every TW site also occurs in
-//! the CW; Slide equals Move when the anchored TW is at capacity).
-//! A class is freed as soon as its last member leaves. In the worst
-//! case — every member permanently in a phase of its own — this
-//! degrades to one windows-advance per member per step, i.e. parity
-//! with private runs; in practice members cluster into few classes
-//! and the shared FIFO carries all Transition time.
+//! like a Constant-TW flush.
+//!
+//! A class is identified by its **window boundaries**, not by the step
+//! it was forked on. Windows are always contiguous trace slices: TW =
+//! `trace[a..b)` and CW = `trace[b..c)`, where the end `c` is the
+//! scan's element count and so common to every class. Two classes
+//! with equal `(a, b)` therefore hold bit-identical windows on both
+//! kernels, and their members share one class:
+//!
+//! * **Join at entry.** An entering member computes the boundaries its
+//!   anchor and resize policies would produce in closed form, before
+//!   forking, and joins any live class with those boundaries. This
+//!   covers same-step entrants — the four `(anchor, resize)` pairs
+//!   routinely degenerate to one fork (both anchors return index 0
+//!   when every TW site also occurs in the CW; Slide equals Move when
+//!   the anchored TW is at capacity) — and members whose analyzers
+//!   fire steps apart but anchor on the same phase start.
+//! * **Merge at refill.** When a class's CW refills to capacity, it is
+//!   merged into any live class with equal boundaries: its members are
+//!   re-pointed, and its slot is freed.
+//!
+//! Together the two are complete: live classes never share
+//! boundaries. In phase `a` is fixed, `b = c − cw_len`, and every
+//! class's CW grows by the same step size until it reaches capacity.
+//! Two classes with the same `a` but different CW lengths keep that
+//! difference until the lagging one refills, so they can first
+//! coincide only at an entry or at that refill step. On the `ruleng`
+//! 100k-element full grid this cuts the live class-steps the
+//! adaptive units advance and judge from 54.1M to 23.5M (2.30×).
+//!
+//! A class is freed as soon as its last member leaves, and freed
+//! slots are recycled. In the worst case — every member permanently
+//! in a phase of its own — this degrades to one windows-advance per
+//! member per step, i.e. parity with private runs; in practice
+//! members cluster into few classes and the shared FIFO carries all
+//! Transition time.
 //!
 //! Only `skip > cw` configs keep fully private windows (with scratch
 //! reuse), for the over-full-CW reason above; they run through the
@@ -537,6 +561,22 @@ struct Member {
     phases: Vec<DetectedPhase>,
 }
 
+impl Member {
+    /// Member `config_index` at the start of a scan: in Transition,
+    /// judging the shared windows.
+    fn new(config_index: usize, config: DetectorConfig) -> Self {
+        Member {
+            config_index,
+            config,
+            analyzer: Analyzer::new(config.analyzer()),
+            state: PhaseState::Transition,
+            class: NO_CLASS,
+            warm_from: 0,
+            phases: Vec::new(),
+        }
+    }
+}
+
 /// One scan of `trace` evaluating every member of a shared unit,
 /// dispatched to the engine's kernel: a Constant-TW group against
 /// shared windows, or an Adaptive-TW group against a shared FIFO with
@@ -576,15 +616,7 @@ fn run_shared_unit<O: DetectorObserver>(
     );
     let members: Vec<Member> = member_indices
         .iter()
-        .map(|&i| Member {
-            config_index: i,
-            config: configs[i],
-            analyzer: Analyzer::new(configs[i].analyzer()),
-            state: PhaseState::Transition,
-            class: NO_CLASS,
-            warm_from: 0,
-            phases: Vec::new(),
-        })
+        .map(|&i| Member::new(i, configs[i]))
         .collect();
     let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
     match kernel {
@@ -594,7 +626,8 @@ fn run_shared_unit<O: DetectorObserver>(
                 .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
             let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
             if adaptive {
-                run_shared_adaptive_scan(members, trace, skip, &mut windows, observer)
+                let mut classes = PhaseClasses::new();
+                run_shared_adaptive_scan(members, trace, skip, &mut windows, &mut classes, observer)
             } else {
                 run_shared_group_scan(members, trace, skip, &mut windows, observer)
             }
@@ -603,7 +636,8 @@ fn run_shared_unit<O: DetectorObserver>(
             scratch.shared_swar.ensure_sites(sites);
             let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
             if adaptive {
-                run_shared_adaptive_scan(members, trace, skip, &mut windows, observer)
+                let mut classes = PhaseClasses::new();
+                run_shared_adaptive_scan(members, trace, skip, &mut windows, &mut classes, observer)
             } else {
                 run_shared_group_scan(members, trace, skip, &mut windows, observer)
             }
@@ -697,15 +731,129 @@ fn run_shared_group_scan<K: WindowKernel, O: DetectorObserver>(
     close_members(members, consumed)
 }
 
-/// One forked window state shared by every member that entered a
-/// phase on the same step and whose anchor/resize policies produced
-/// the same post-fork window boundaries.
+/// One forked window state, shared by every in-phase member whose
+/// windows have the same boundaries (see the module docs).
 struct PhaseClass<F> {
     windows: F,
     members: usize,
     /// Per-model similarity memo against `windows`, reset each step.
     sims: [f64; 3],
     have: [bool; 3],
+}
+
+/// A window state's boundaries `(a, b)`: TW = `trace[a..b)` and CW =
+/// `trace[b..c)`, where the end `c` is the scan's element count and so
+/// common to every class. Equal boundaries mean bit-identical windows.
+fn boundaries<K: WindowKernel>(windows: &K) -> (u64, u64) {
+    let a = windows.offset_of_index(0);
+    (a, a + windows.tw_len() as u64)
+}
+
+/// A class-table event, logged by the unit tests to pin that joins,
+/// merges and slot recycling actually happen.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum ClassEvent {
+    Fork { slot: usize, step: u64 },
+    Join { slot: usize, step: u64 },
+    Merge { from: usize, into: usize },
+}
+
+/// The live phase classes of one forking scan, at most one per
+/// boundary pair. Freed slots are recycled, so the table stays at the
+/// peak number of *live* classes.
+struct PhaseClasses<F> {
+    slots: Vec<PhaseClass<F>>,
+    free: Vec<usize>,
+    /// Slots whose CW filled to capacity during this step's advance:
+    /// the only classes that can have converged onto another.
+    refilled: Vec<usize>,
+    #[cfg(test)]
+    log: Vec<ClassEvent>,
+}
+
+impl<F: WindowKernel> PhaseClasses<F> {
+    fn new() -> Self {
+        PhaseClasses {
+            slots: Vec::new(),
+            free: Vec::new(),
+            refilled: Vec::new(),
+            #[cfg(test)]
+            log: Vec::new(),
+        }
+    }
+
+    /// Advances every live class by one step with TW growth, noting
+    /// the classes whose CW this step filled to `cw_cap`.
+    fn advance(&mut self, chunk: &[u32], cw_cap: usize) {
+        for (slot, class) in self.slots.iter_mut().enumerate() {
+            if class.members > 0 {
+                let was_full = class.windows.cw_len() == cw_cap;
+                class.windows.advance(chunk, true);
+                class.have = [false; 3];
+                if !was_full && class.windows.cw_len() == cw_cap {
+                    self.refilled.push(slot);
+                }
+            }
+        }
+    }
+
+    /// The live class, other than slot `except`, whose windows have
+    /// boundaries `key`.
+    fn find(&self, key: (u64, u64), except: usize) -> Option<usize> {
+        (0..self.slots.len()).find(|&slot| {
+            let class = &self.slots[slot];
+            slot != except && class.members > 0 && boundaries(&class.windows) == key
+        })
+    }
+
+    /// Merges every class refilled this step into the live class with
+    /// equal boundaries, if there is one, re-pointing its members.
+    fn merge_refilled(&mut self, members: &mut [Member]) {
+        for k in 0..self.refilled.len() {
+            let from = self.refilled[k];
+            let Some(into) = self.find(boundaries(&self.slots[from].windows), from) else {
+                continue;
+            };
+            self.slots[into].members += std::mem::take(&mut self.slots[from].members);
+            self.free.push(from);
+            for m in members.iter_mut().filter(|m| m.class == from) {
+                m.class = into;
+            }
+            #[cfg(test)]
+            self.log.push(ClassEvent::Merge { from, into });
+        }
+        self.refilled.clear();
+    }
+
+    /// Stores a freshly forked window state in a free slot.
+    fn insert(&mut self, windows: F) -> usize {
+        let class = PhaseClass {
+            windows,
+            members: 0,
+            sims: [0.0; 3],
+            have: [false; 3],
+        };
+        match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = class;
+                slot
+            }
+            None => {
+                self.slots.push(class);
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    /// Removes one member from `slot`, freeing the slot when it empties.
+    fn leave(&mut self, slot: usize) {
+        let class = &mut self.slots[slot];
+        class.members -= 1;
+        if class.members == 0 {
+            self.free.push(slot);
+        }
+    }
 }
 
 fn anchor_slot(policy: AnchorPolicy) -> usize {
@@ -724,49 +872,36 @@ fn run_shared_adaptive_scan<K: ForkableKernel, O: DetectorObserver>(
     trace: &InternedTrace,
     skip: usize,
     fifo: &mut K,
+    classes: &mut PhaseClasses<K::Forked>,
     observer: &mut O,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
     let refill = (first.current_window() + first.trailing_window() - skip) as u64;
+    let cw_cap = first.current_window();
     let tw_cap = first.trailing_window() as u64;
     let mut consumed = 0u64;
-    // Phase classes, with freed slots recycled so the table stays at
-    // the peak number of *live* classes.
-    let mut classes: Vec<PhaseClass<K::Forked>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
     let mut fifo_sims = [0.0f64; 3];
     for (step, chunk) in (0u64..).zip(trace.ids().chunks(skip)) {
         // Members still in a phase pushed this step's elements with
         // TW growth (they were in Phase when the step began); the
         // class advance must precede the member loop for the same
-        // reason the FIFO advance does.
+        // reason the FIFO advance does. A class whose CW just refilled
+        // may have converged onto another; merging it now lets the
+        // member loop judge one class where it would have judged two.
         fifo.advance(chunk, false);
-        for class in &mut classes {
-            if class.members > 0 {
-                class.windows.advance(chunk, true);
-                class.have = [false; 3];
-            }
-        }
+        classes.advance(chunk, cw_cap);
+        classes.merge_refilled(&mut members);
         let step_start = consumed;
         consumed += chunk.len() as u64;
         let fifo_warm = fifo.is_warm();
         observe_step(observer, step, step_start, chunk.len(), fifo_warm);
         let mut fifo_have = [false; 3];
-        // Per-step memos: the FIFO anchor index per anchor policy,
-        // and the forked class (with its anchored start offset) per
-        // *resulting window boundary*. Distinct (anchor, resize)
-        // pairs routinely coincide — both anchors return index 0 when
-        // every TW site also appears in the CW, and Slide equals Move
-        // when the anchored TW is already at capacity — and since
-        // windows are contiguous trace slices, same-step forks with
-        // equal boundaries are bit-identical forever, so those
-        // members share one class.
+        // Per-step memo of the FIFO anchor index per anchor policy.
         let mut anchor_memo: [Option<usize>; 2] = [None; 2];
-        let mut forks: [Option<((u64, u64), usize)>; 4] = [None; 4];
         for m in &mut members {
             if m.state == PhaseState::Phase {
                 // In Phase the member's windows are its class's fork.
-                let class = &mut classes[m.class];
+                let class = &mut classes.slots[m.class];
                 let slot = model_slot(m.config.model());
                 let fresh = !class.have[slot];
                 if fresh {
@@ -782,10 +917,7 @@ fn run_shared_adaptive_scan<K: ForkableKernel, O: DetectorObserver>(
                     // Phase end: a private detector would flush its
                     // windows here; the member leaves its class and
                     // tracks the refill point instead.
-                    class.members -= 1;
-                    if class.members == 0 {
-                        free.push(m.class);
-                    }
+                    classes.leave(m.class);
                     m.class = NO_CLASS;
                     m.warm_from = consumed + refill;
                     if let Some(open) = m.phases.last_mut() {
@@ -810,13 +942,14 @@ fn run_shared_adaptive_scan<K: ForkableKernel, O: DetectorObserver>(
                     PhaseState::Transition
                 };
                 if new_state == PhaseState::Phase {
-                    // Phase start: fork the FIFO and anchor/resize
-                    // the fork — unless a same-step entrant already
-                    // built a fork with the same resulting boundaries,
-                    // computed here in closed form. Both kernels pop
-                    // `anchor_idx` elements from the TW front; Slide
-                    // then tops the TW back up from the CW, whose last
-                    // element (offset `consumed - 1`) never moves.
+                    // Phase start: join the live class whose windows
+                    // have the boundaries this member's anchor and
+                    // resize would produce, computed here in closed
+                    // form, or fork the FIFO if there is none. Both
+                    // kernels pop `anchor_idx` elements from the TW
+                    // front; Slide then tops the TW back up from the
+                    // CW, whose last element (offset `consumed - 1`)
+                    // never moves.
                     let a_slot = anchor_slot(m.config.anchor());
                     let anchor_idx = *anchor_memo[a_slot]
                         .get_or_insert_with(|| fifo.anchor_index(m.config.anchor()));
@@ -828,40 +961,25 @@ fn run_shared_adaptive_scan<K: ForkableKernel, O: DetectorObserver>(
                     } else {
                         b0
                     };
-                    let class_idx = match forks.iter().flatten().find(|(key, _)| *key == (a2, b2)) {
-                        Some(&(_, idx)) => idx,
+                    let class_idx = match classes.find((a2, b2), NO_CLASS) {
+                        Some(slot) => {
+                            #[cfg(test)]
+                            classes.log.push(ClassEvent::Join { slot, step });
+                            slot
+                        }
                         None => {
                             let mut windows = fifo.fork();
                             let anchored_start =
                                 windows.anchor_and_resize(anchor_idx, m.config.resize());
                             debug_assert_eq!(anchored_start, a2);
-                            debug_assert_eq!(windows.offset_of_index(0), a2);
-                            debug_assert_eq!(windows.tw_len() as u64, b2 - a2);
-                            let fresh = PhaseClass {
-                                windows,
-                                members: 0,
-                                sims: [0.0; 3],
-                                have: [false; 3],
-                            };
-                            let class_idx = match free.pop() {
-                                Some(idx) => {
-                                    classes[idx] = fresh;
-                                    idx
-                                }
-                                None => {
-                                    classes.push(fresh);
-                                    classes.len() - 1
-                                }
-                            };
-                            let slot = forks
-                                .iter_mut()
-                                .find(|s| s.is_none())
-                                .expect("at most four (anchor, resize) pairs per step");
-                            *slot = Some(((a2, b2), class_idx));
-                            class_idx
+                            debug_assert_eq!(boundaries(&windows), (a2, b2));
+                            let slot = classes.insert(windows);
+                            #[cfg(test)]
+                            classes.log.push(ClassEvent::Fork { slot, step });
+                            slot
                         }
                     };
-                    classes[class_idx].members += 1;
+                    classes.slots[class_idx].members += 1;
                     m.class = class_idx;
                     m.analyzer.reset();
                     m.phases.push(DetectedPhase {
@@ -931,8 +1049,8 @@ mod tests {
         // Adaptive configs: the forking shared-scan path. Spreading
         // models, analyzers, and both policy pairs makes members
         // enter and leave phases on different steps, exercising
-        // same-step class sharing, divergent class evolution, class
-        // retirement, and slot recycling.
+        // class sharing, divergent class evolution, class retirement,
+        // and slot recycling.
         for anchor in [AnchorPolicy::RightmostNoisy, AnchorPolicy::LeftmostNonNoisy] {
             for resize in [ResizePolicy::Slide, ResizePolicy::Move] {
                 for model in ModelPolicy::ALL_EXTENDED {
@@ -1121,6 +1239,114 @@ mod tests {
             let reused = d.take_phases();
             assert_eq!(reused, reference(config, &trace), "{config:?}");
         }
+    }
+
+    /// Runs the forking scan over `trace` on the scalar kernel and
+    /// returns its class-table log, checking every member's phases
+    /// against a sequential detector.
+    fn adaptive_class_log(configs: &[DetectorConfig], trace: &InternedTrace) -> Vec<ClassEvent> {
+        let first = configs[0];
+        let members = (0..configs.len())
+            .map(|i| Member::new(i, configs[i]))
+            .collect();
+        let sites = trace.distinct_count() as usize;
+        let (cw, tw) = (first.current_window(), first.trailing_window());
+        let mut fifo = Windows::with_site_capacity(cw, tw, true, sites);
+        let mut classes = PhaseClasses::new();
+        let results = run_shared_adaptive_scan(
+            members,
+            trace,
+            first.skip_factor(),
+            &mut fifo,
+            &mut classes,
+            &mut NullObserver,
+        );
+        for (i, phases) in results {
+            assert_eq!(phases, reference(configs[i], trace), "{:?}", configs[i]);
+        }
+        classes.log
+    }
+
+    #[test]
+    fn converged_classes_join_across_steps_merge_at_refill_and_recycle_slots() {
+        // One adaptive shape; the analyzers fire on different steps
+        // after each block change, but the anchors land on the same
+        // block start, so classes converge.
+        let mut configs = Vec::new();
+        for anchor in [AnchorPolicy::RightmostNoisy, AnchorPolicy::LeftmostNonNoisy] {
+            for resize in [ResizePolicy::Slide, ResizePolicy::Move] {
+                for analyzer in [
+                    AnalyzerPolicy::Threshold(0.3),
+                    AnalyzerPolicy::Threshold(0.5),
+                    AnalyzerPolicy::Threshold(0.7),
+                    AnalyzerPolicy::Threshold(0.9),
+                    AnalyzerPolicy::Average { delta: 0.1 },
+                ] {
+                    configs.push(
+                        DetectorConfig::builder()
+                            .current_window(12)
+                            .tw_policy(TwPolicy::Adaptive)
+                            .anchor(anchor)
+                            .resize(resize)
+                            .model(ModelPolicy::WeightedSet)
+                            .analyzer(analyzer)
+                            .build()
+                            .unwrap(),
+                    );
+                }
+            }
+        }
+        // Blocks of four cycling sites, each after a run of one-off
+        // noise sites: the FIFO's similarity climbs gradually as a
+        // block enters the TW, so the thresholds fire on different
+        // steps, and both anchors land on the block's first element.
+        let mut fresh_site = 100;
+        let mut elements = Vec::new();
+        for block in 0..4 {
+            for _ in 0..60 {
+                fresh_site += 1;
+                elements.push(ProfileElement::new(MethodId::new(0), fresh_site, true));
+            }
+            for i in 0..120 {
+                elements.push(ProfileElement::new(
+                    MethodId::new(0),
+                    4 * block + i % 4,
+                    true,
+                ));
+            }
+        }
+        let trace = InternedTrace::from_elements(elements);
+        let log = adaptive_class_log(&configs, &trace);
+        let mut forked_at: HashMap<usize, u64> = HashMap::new();
+        let mut freed_by_merge: Vec<usize> = Vec::new();
+        let (mut forks, mut cross_step_joins, mut merges, mut recycled) = (0, 0, 0, 0);
+        for event in &log {
+            match *event {
+                ClassEvent::Fork { slot, step } => {
+                    forks += 1;
+                    forked_at.insert(slot, step);
+                    if let Some(k) = freed_by_merge.iter().position(|&s| s == slot) {
+                        freed_by_merge.swap_remove(k);
+                        recycled += 1;
+                    }
+                }
+                ClassEvent::Join { slot, step } => {
+                    // A join into a class forked on an earlier step.
+                    if forked_at[&slot] < step {
+                        cross_step_joins += 1;
+                    }
+                }
+                ClassEvent::Merge { from, into } => {
+                    assert_ne!(from, into);
+                    merges += 1;
+                    freed_by_merge.push(from);
+                }
+            }
+        }
+        assert!(cross_step_joins > 0, "no cross-step join: {log:?}");
+        assert!(merges > 0, "no refill merge: {log:?}");
+        assert!(recycled > 0, "no slot freed by a merge was reused: {log:?}");
+        assert!(forks > 0);
     }
 
     #[test]

@@ -3,10 +3,16 @@
 //! [`PhaseDetector`] per config — across both trailing-window
 //! policies, all models and analyzers, and skip factors larger than
 //! the current window (which must route to the private path).
+//!
+//! Random grids rarely put more than a few configs in one Adaptive-TW
+//! shape group, so a second property runs one shape with sixteen
+//! members over block-structured traces: enough members entering
+//! phases near each other for the forking scan to fork, join live
+//! classes across steps, and merge classes whose windows converge.
 
 use opd_core::{
     AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, ModelPolicy, PhaseDetector,
-    ResizePolicy, SweepEngine, TwPolicy,
+    ResizePolicy, SweepEngine, TwPolicy, UnitKind,
 };
 use opd_trace::{MethodId, ProfileElement};
 use proptest::prelude::*;
@@ -57,8 +63,65 @@ fn decode(cw: usize, tw: usize, skip: usize, flags: u8, model: u8, x: f64) -> De
         .expect("generated parameters are valid")
 }
 
+/// A block-structured trace: per block, `noise` one-off sites, then
+/// `len` elements cycling over `sites` block-private sites with a
+/// one-off site in place of every `spike`-th element (0: none).
+fn block_trace(blocks: &[(usize, u32, usize, usize)]) -> InternedTrace {
+    let mut fresh = 1_000u32;
+    let mut sites = Vec::new();
+    for (b, &(len, n, noise, spike)) in (0u32..).zip(blocks) {
+        for _ in 0..noise {
+            fresh += 1;
+            sites.push(fresh);
+        }
+        for i in 0..len {
+            if spike > 0 && i % spike == spike - 1 {
+                fresh += 1;
+                sites.push(fresh);
+            } else {
+                sites.push(8 * b + i as u32 % n);
+            }
+        }
+    }
+    interned(&sites)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn adaptive_shape_group_is_bit_identical_to_sequential_detectors(
+        blocks in prop::collection::vec((10usize..160, 1u32..7, 0usize..40, 0usize..12), 1..6),
+        (cw, tw, skip) in (2usize..16, 2usize..16, 1usize..4),
+        models in prop::collection::vec(0u8..3, 16..17),
+        xs in prop::collection::vec(0.05f64..0.95, 16..17),
+    ) {
+        let trace = block_trace(&blocks);
+        // Member k: anchor from bit 0, resize from bit 1, Threshold
+        // or Average from bit 2 of `flags`, always Adaptive TW.
+        let configs: Vec<DetectorConfig> = (0..16u8)
+            .map(|k| {
+                let flags = 1 | ((k & 1) << 1) | ((k & 2) << 1) | ((k & 4) << 1);
+                let k = usize::from(k);
+                decode(cw, tw, skip.min(cw), flags, models[k], xs[k])
+            })
+            .collect();
+        let engine = SweepEngine::new(&configs);
+        prop_assert_eq!(engine.units().len(), 1);
+        prop_assert_eq!(engine.units()[0].kind(), UnitKind::SharedAdaptive);
+        let all = engine.run_all(&trace);
+        for (i, &config) in configs.iter().enumerate() {
+            let mut detector = PhaseDetector::new(config);
+            let _ = detector.run_interned(&trace);
+            prop_assert_eq!(
+                all[i].as_slice(),
+                detector.detected_phases(),
+                "config {}: {:?}",
+                i,
+                config
+            );
+        }
+    }
 
     #[test]
     fn engine_is_bit_identical_to_sequential_detectors(

@@ -36,7 +36,7 @@ pub fn static_bounds_json(scale: u32) -> String {
         })
         .collect();
     format!(
-        "{{\n \"scale\": {scale},\n \"workloads\": {{\n{}\n }}\n}}\n",
+        "{{\n \"schema\": \"opd-bench-static-bounds-v1\",\n \"scale\": {scale},\n \"workloads\": {{\n{}\n }}\n}}\n",
         entries.join(",\n")
     )
 }
@@ -83,7 +83,7 @@ pub fn default_plan(scale: u32) -> PlanAnalysis {
 pub fn plan_json(scale: u32) -> String {
     let plan = default_plan(scale);
     format!(
-        "{{\n \"scale\": {scale},\n \"equivalence_classes\": {},\n \"plan\": {}\n}}\n",
+        "{{\n \"schema\": \"opd-bench-plan-v1\",\n \"scale\": {scale},\n \"equivalence_classes\": {},\n \"plan\": {}\n}}\n",
         plan.classes().len(),
         plan.to_json()
     )

@@ -193,6 +193,7 @@ pub fn faults_json(scale: u32) -> String {
     let study = fault_study(scale, STUDY_FUEL);
     let mut out = String::new();
     out.push_str("{\n");
+    out.push_str(" \"schema\": \"opd-bench-faults-v1\",\n");
     out.push_str(&format!(" \"scale\": {scale},\n"));
     out.push_str(&format!(" \"fuel\": {STUDY_FUEL},\n"));
     out.push_str(&format!(" \"mpl\": {STUDY_MPL},\n"));

@@ -464,6 +464,7 @@ pub fn serve_json(scale: u32) -> String {
 
     let mut out = String::new();
     out.push_str("{\n");
+    out.push_str(" \"schema\": \"opd-bench-serve-v1\",\n");
     out.push_str(&format!(" \"scale\": {scale},\n"));
     out.push_str(&format!(" \"fuel\": {SERVE_FUEL},\n"));
     out.push_str(" \"soak\": {\n");

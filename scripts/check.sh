@@ -9,8 +9,8 @@
 # aggressive hazards), an observability smoke pass (`opd top`,
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
-# BENCH_cert.json freshness), release-mode kernel-equivalence and
-# streaming-equivalence and study-equivalence smokes, the BENCH_kernel.json
+# BENCH_cert.json freshness), release-mode kernel-, engine-,
+# sweep-property-, streaming- and study-equivalence smokes, the BENCH_kernel.json
 # acceptance/freshness tests, an opd-core test run with `obs` off
 # (the null-observer-only build of the detector and sweep loops), the
 # feature-gate guards keeping opd-core free of opd-obs when `obs` is
@@ -69,6 +69,12 @@ RUST_BACKTRACE=1 cargo test -q -p opd --test cert_artifact
 # exercises the same differential + proptest suite in debug; release
 # is where the SWAR closed forms actually vectorise).
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernels_agree
+# Engine equivalence under release codegen: the shared Constant-TW
+# scan and the forking Adaptive-TW scan (classes joined across steps
+# and merged at CW refill) must match sequential detectors bit for
+# bit, on the workload grids and on the property-tested shape groups.
+RUST_BACKTRACE=1 cargo test -q --release -p opd --test engine_equivalence
+RUST_BACKTRACE=1 cargo test -q --release -p opd-core --test sweep_props
 # Streaming equivalence under release codegen: `process` in
 # skip-sized and arbitrary steps, on both kernels, must match a batch
 # `run_interned` bit for bit across compactions of the streaming id
