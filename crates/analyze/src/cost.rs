@@ -19,9 +19,9 @@
 //!   `SweepUnit::cost()` (a fixed 8:1 scan-to-member weighting that
 //!   ignored trace length, skip factor, and model entirely).
 //!
-//! The per-step op counts mirror the *default* (SWAR) window kernel
-//! of `opd-core` — the one every sweep runs on unless explicitly
-//! switched to the scalar reference. Below the rank-mode skip cutoff
+//! The per-step op counts mirror the (SWAR) window kernel of
+//! `opd-core`, the one every detector and sweep runs on. Below the
+//! rank-mode skip cutoff
 //! the kernel judges densely: the unweighted model popcounts the
 //! membership bit lanes (one `u64` per 64 alphabet sites), the
 //! weighted model min-sums the per-site count columns, and Pearson

@@ -11,9 +11,10 @@
 //! DESIGN.md §13):
 //!
 //! * **Dead resize** — under a constant trailing window the resize
-//!   policy is never consulted (`Windows::anchor_and_resize` is only
-//!   reached from the Adaptive phase-start path), so `Move` and
-//!   `Slide` coincide; the canonical form uses `Slide`.
+//!   policy is never consulted (windows are resized only on the
+//!   Adaptive phase-start path; a Constant-TW phase start only reads
+//!   the anchor offset), so `Move` and `Slide` coincide; the canonical
+//!   form uses `Slide`.
 //! * **Always-fire analyzer** — a `Threshold(t ≤ 0)` analyzer, or an
 //!   `Average { delta: 1.0 }` analyzer whose similarities provably
 //!   never exceed `1.0`, judges *Phase* at every warm step. Such a
@@ -78,7 +79,7 @@ impl EquivRule {
         match self {
             EquivRule::DeadResize => {
                 "a constant trailing window never reaches the resize path \
-                 (Windows::anchor_and_resize is only called at Adaptive phase starts), \
+                 (windows are resized only on the Adaptive phase-start path), \
                  so Slide and Move produce identical windows forever"
             }
             EquivRule::AlwaysFire => {

@@ -5,7 +5,71 @@ use core::fmt;
 
 use crate::analyzer::AnalyzerPolicy;
 use crate::model::ModelPolicy;
-use crate::window::{AnchorPolicy, ResizePolicy, TwPolicy};
+
+/// Trailing-window management policy (Section 2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub enum TwPolicy {
+    /// The TW keeps a fixed size throughout.
+    Constant,
+    /// The TW grows to include all elements of the current phase once a
+    /// phase is detected, and is flushed when the phase ends.
+    Adaptive,
+}
+
+impl fmt::Display for TwPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            TwPolicy::Constant => "constant",
+            TwPolicy::Adaptive => "adaptive",
+        })
+    }
+}
+
+/// Where the anchor point — the reported start of a detected phase —
+/// is placed within the trailing window (Section 5).
+///
+/// *Noisy* elements are elements in the TW that do not occur in the CW.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub enum AnchorPolicy {
+    /// One element to the right of the rightmost noisy element (RN).
+    RightmostNoisy,
+    /// At the leftmost non-noisy element (LNN).
+    LeftmostNonNoisy,
+}
+
+impl fmt::Display for AnchorPolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            AnchorPolicy::RightmostNoisy => "RN",
+            AnchorPolicy::LeftmostNonNoisy => "LNN",
+        })
+    }
+}
+
+/// How windows are resized when a phase starts (Section 5; adaptive
+/// trailing window only).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
+pub enum ResizePolicy {
+    /// Slide the TW right so its left boundary sits at the anchor
+    /// point, keeping the TW's length and shrinking the CW (which then
+    /// refills while comparisons continue).
+    Slide,
+    /// Move only the TW's left boundary to the anchor point, shrinking
+    /// the TW and leaving the CW untouched.
+    Move,
+}
+
+impl fmt::Display for ResizePolicy {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            ResizePolicy::Slide => "slide",
+            ResizePolicy::Move => "move",
+        })
+    }
+}
 
 /// Error produced when a detector configuration is invalid.
 #[derive(Debug, Clone, PartialEq)]
@@ -454,6 +518,15 @@ mod tests {
         let text = format!("{c}");
         assert!(text.contains("cw=500"), "{text}");
         assert!(text.contains("adaptive"), "{text}");
+    }
+
+    #[test]
+    fn policy_displays() {
+        assert_eq!(TwPolicy::Adaptive.to_string(), "adaptive");
+        assert_eq!(AnchorPolicy::RightmostNoisy.to_string(), "RN");
+        assert_eq!(AnchorPolicy::LeftmostNonNoisy.to_string(), "LNN");
+        assert_eq!(ResizePolicy::Slide.to_string(), "slide");
+        assert_eq!(ResizePolicy::Move.to_string(), "move");
     }
 
     #[test]

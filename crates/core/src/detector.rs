@@ -7,10 +7,9 @@ use opd_trace::{
 
 use crate::analyzer::Analyzer;
 use crate::boundary::DetectedPhase;
-use crate::config::DetectorConfig;
+use crate::config::{DetectorConfig, ResizePolicy, TwPolicy};
 use crate::intern::{InternedTrace, Interner};
-use crate::kernel::{KernelKind, SwarCursor, SwarKernelState, SwarWindows, WindowKernel};
-use crate::window::{ResizePolicy, TwPolicy, Windows};
+use crate::kernel::{SwarCursor, SwarKernelState, SwarWindows};
 
 /// Error returned by the fallible detector entry points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,11 +58,10 @@ impl StateSink for StateSeq {
     }
 }
 
-/// The kernel-independent half of a detector: configuration, analyzer,
+/// The window-independent half of a detector: configuration, analyzer,
 /// the `P`/`T` state machine, and the detected-phase ledger. Split out
-/// of [`PhaseDetector`] so the per-step logic is generic over the
-/// [`WindowKernel`] while the detector owns the storage of both
-/// kernels.
+/// of [`PhaseDetector`] so batch and streaming runs share one per-step
+/// body while the detector owns the kernel's storage and stream state.
 #[derive(Debug, Clone)]
 struct DetectorCore {
     config: DetectorConfig,
@@ -89,7 +87,7 @@ impl DetectorCore {
         }
     }
 
-    fn record_window_lens<K: WindowKernel>(&mut self, windows: &K) {
+    fn record_window_lens(&mut self, windows: &SwarWindows<'_>) {
         self.window_lens = (windows.cw_len(), windows.tw_len());
     }
 
@@ -101,9 +99,9 @@ impl DetectorCore {
     /// elements: judge, apply the Figure 3 phase start/end actions, and
     /// emit step `step`'s events into `observer` (every emission is
     /// guarded by `O::ACTIVE`, so [`NullObserver`] compiles them out).
-    fn finish_step<K: WindowKernel, O: DetectorObserver>(
+    fn finish_step<O: DetectorObserver>(
         &mut self,
-        windows: &mut K,
+        windows: &mut SwarWindows<'_>,
         step_len: usize,
         step: u64,
         observer: &mut O,
@@ -222,9 +220,9 @@ impl DetectorCore {
 /// The chunk loop of an interned-trace run: one kernel advance and one
 /// state-machine step per `skip_factor` elements. A phase still open at
 /// the end of the trace is closed there (with a final `PhaseEnd` event).
-fn drive<K: WindowKernel, S: StateSink, O: DetectorObserver>(
+fn drive<S: StateSink, O: DetectorObserver>(
     core: &mut DetectorCore,
-    windows: &mut K,
+    windows: &mut SwarWindows<'_>,
     trace: &InternedTrace,
     sink: &mut S,
     observer: &mut O,
@@ -260,21 +258,18 @@ fn drive<K: WindowKernel, S: StateSink, O: DetectorObserver>(
 /// Figure 3 (anchor the trailing window, reset analyzer statistics,
 /// flush windows) applied at state changes.
 ///
-/// Two interchangeable window kernels back the detector (see
-/// [`KernelKind`] and the `kernel` module docs): the default SoA/bitset
-/// (SWAR) kernel and the scalar deque reference, selected only with
-/// [`with_kernel`](PhaseDetector::with_kernel) or
-/// [`set_kernel`](PhaseDetector::set_kernel). The choice applies to
-/// every run path: interned-trace runs
+/// One window kernel backs every run path (see the `kernel` module
+/// docs): interned-trace runs
 /// ([`run_interned`](PhaseDetector::run_interned) and friends) and
 /// streaming input via [`process`](PhaseDetector::process)/
-/// [`run`](PhaseDetector::run) alike. A streaming SWAR detector appends
+/// [`run`](PhaseDetector::run) alike. A streaming detector appends
 /// each step's interned ids to an owned log and resumes the kernel
 /// over it from the cursor the previous step saved, compacting away
 /// the prefix that has left both windows, so its memory stays
 /// proportional to the window occupancy however long the stream. Both
-/// kernels produce bit-identical similarity and state streams on every
-/// path.
+/// paths produce bit-identical similarity and state streams, equal to
+/// those of the executable Figure 3 specification the differential
+/// test suites run beside it.
 ///
 /// # Examples
 ///
@@ -293,9 +288,6 @@ fn drive<K: WindowKernel, S: StateSink, O: DetectorObserver>(
 #[derive(Debug, Clone)]
 pub struct PhaseDetector {
     core: DetectorCore,
-    kernel: KernelKind,
-    /// The scalar kernel's windows, built on the first scalar run.
-    windows: Option<Windows>,
     swar: SwarKernelState,
     stream: Stream,
 }
@@ -343,33 +335,12 @@ fn log_bound(live: usize) -> usize {
     live + live / 4
 }
 
-/// The scalar windows in `slot`, built for `config` on first use.
-fn scalar_windows<'w>(slot: &'w mut Option<Windows>, config: &DetectorConfig) -> &'w mut Windows {
-    slot.get_or_insert_with(|| {
-        Windows::with_weighted_tracking(
-            config.current_window(),
-            config.trailing_window(),
-            config.model() == crate::ModelPolicy::WeightedSet,
-        )
-    })
-}
-
 impl PhaseDetector {
-    /// Creates a detector for the given configuration, on the default
-    /// kernel.
+    /// Creates a detector for the given configuration.
     #[must_use]
     pub fn new(config: DetectorConfig) -> Self {
-        Self::with_kernel(config, KernelKind::default())
-    }
-
-    /// Creates a detector for the given configuration on an explicit
-    /// window kernel (see the type docs for what the choice affects).
-    #[must_use]
-    pub fn with_kernel(config: DetectorConfig, kernel: KernelKind) -> Self {
         PhaseDetector {
             core: DetectorCore::new(config),
-            kernel,
-            windows: None,
             swar: SwarKernelState::default(),
             stream: Stream::default(),
         }
@@ -388,33 +359,19 @@ impl PhaseDetector {
     }
 
     /// Current-window length after the most recent step (streaming)
-    /// or at the end of the most recent interned run, on either
-    /// kernel.
+    /// or at the end of the most recent interned run.
     #[must_use]
     pub fn cw_len(&self) -> usize {
         self.core.window_lens.0
     }
 
     /// Trailing-window length after the most recent step (streaming)
-    /// or at the end of the most recent interned run, on either
-    /// kernel. Exceeds the configured trailing window only under an
-    /// adaptive TW during a phase.
+    /// or at the end of the most recent interned run. Exceeds the
+    /// configured trailing window only under an adaptive TW during a
+    /// phase.
     #[must_use]
     pub fn tw_len(&self) -> usize {
         self.core.window_lens.1
-    }
-
-    /// The window kernel this detector runs on.
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
-    }
-
-    /// Switches the window kernel for subsequent runs (start a new
-    /// stream, e.g. via [`reconfigure`](PhaseDetector::reconfigure),
-    /// before switching a streaming detector).
-    pub fn set_kernel(&mut self, kernel: KernelKind) {
-        self.kernel = kernel;
     }
 
     /// The similarity value computed at the most recent warm step.
@@ -423,26 +380,20 @@ impl PhaseDetector {
         self.core.last_similarity
     }
 
-    /// Pre-sizes the selected kernel's per-site window tables for
-    /// `n_sites` distinct elements — typically a static alphabet bound
-    /// from the `opd-analyze` crate — so a run over any trace with at
-    /// most that many distinct elements never grows them mid-scan.
+    /// Pre-sizes the kernel's per-site window tables for `n_sites`
+    /// distinct elements — typically a static alphabet bound from the
+    /// `opd-analyze` crate — so a run over any trace with at most that
+    /// many distinct elements never grows them mid-scan.
     pub fn reserve_sites(&mut self, n_sites: usize) {
-        match self.kernel {
-            KernelKind::Scalar => {
-                scalar_windows(&mut self.windows, &self.core.config).ensure_sites(n_sites);
-            }
-            KernelKind::Swar => self.swar.ensure_sites(n_sites),
-        }
+        self.swar.ensure_sites(n_sites);
     }
 
     /// Bytes of per-site kernel storage currently held — the memory
     /// high-water mark the resource certificates bound (`ensure_sites`
     /// only ever grows the columns). Counts the SWAR count/bit-lane
-    /// state, which batch and streaming runs on the default kernel
-    /// size alike; the scalar window deques are bounded by `cw + tw`
-    /// elements and are not per-site, and neither is the streaming id
-    /// log (see the type docs).
+    /// state, which batch and streaming runs size alike; the streaming
+    /// id log is bounded by the window occupancy, not per-site (see the
+    /// type docs).
     #[must_use]
     pub fn kernel_footprint_bytes(&self) -> u64 {
         self.swar.footprint_bytes()
@@ -484,56 +435,41 @@ impl PhaseDetector {
         assert!(!elements.is_empty(), "a step needs at least one element");
         let tw_grows = self.core.tw_grows();
         let stream = &mut self.stream;
-        // Streaming steps emit no events, so the step index is unused.
-        match self.kernel {
-            KernelKind::Scalar => {
-                let windows = scalar_windows(&mut self.windows, &self.core.config);
-                for &e in elements {
-                    windows.push(stream.interner.intern(e), tw_grows);
-                }
-                let state = self
-                    .core
-                    .finish_step(windows, elements.len(), 0, &mut NullObserver);
-                self.core.record_window_lens(windows);
-                state
-            }
-            KernelKind::Swar => {
-                let config = &self.core.config;
-                let (cw, tw) = (config.current_window(), config.trailing_window());
-                if self.core.consumed == 0 {
-                    // A new stream: drop counts an earlier run left, and
-                    // size the log once for its Constant-TW high-water
-                    // mark (see `Stream::compact`).
-                    self.swar.clear();
-                    let skip = config.skip_factor();
-                    stream.log.reserve(log_bound(cw + tw + skip) + skip);
-                }
-                let start = stream.log.len();
-                let interner = &mut stream.interner;
-                stream
-                    .log
-                    .extend(elements.iter().map(|&e| interner.intern(e)));
-                let n_sites = interner.len();
-                self.swar.ensure_sites(n_sites);
-                let mut windows = SwarWindows::resume(
-                    &mut self.swar,
-                    &stream.log,
-                    stream.origin,
-                    n_sites,
-                    stream.cursor,
-                    cw,
-                    tw,
-                );
-                windows.advance(&stream.log[start..], tw_grows);
-                let state =
-                    self.core
-                        .finish_step(&mut windows, elements.len(), 0, &mut NullObserver);
-                self.core.record_window_lens(&windows);
-                stream.cursor = windows.cursor();
-                stream.compact();
-                state
-            }
+        let config = &self.core.config;
+        let (cw, tw) = (config.current_window(), config.trailing_window());
+        if self.core.consumed == 0 {
+            // A new stream: drop counts an earlier run left, and size
+            // the log once for its Constant-TW high-water mark (see
+            // `Stream::compact`).
+            self.swar.clear();
+            let skip = config.skip_factor();
+            stream.log.reserve(log_bound(cw + tw + skip) + skip);
         }
+        let start = stream.log.len();
+        let interner = &mut stream.interner;
+        stream
+            .log
+            .extend(elements.iter().map(|&e| interner.intern(e)));
+        let n_sites = interner.len();
+        self.swar.ensure_sites(n_sites);
+        let mut windows = SwarWindows::resume(
+            &mut self.swar,
+            &stream.log,
+            stream.origin,
+            n_sites,
+            stream.cursor,
+            cw,
+            tw,
+        );
+        windows.advance(&stream.log[start..], tw_grows);
+        // Streaming steps emit no events, so the step index is unused.
+        let state = self
+            .core
+            .finish_step(&mut windows, elements.len(), 0, &mut NullObserver);
+        self.core.record_window_lens(&windows);
+        stream.cursor = windows.cursor();
+        stream.compact();
+        state
     }
 
     /// Like [`process`](PhaseDetector::process), but rejects an empty
@@ -600,23 +536,14 @@ impl PhaseDetector {
         sink: &mut S,
         observer: &mut O,
     ) {
-        match self.kernel {
-            KernelKind::Scalar => {
-                let windows = scalar_windows(&mut self.windows, &self.core.config);
-                windows.ensure_sites(trace.distinct_count() as usize);
-                drive(&mut self.core, windows, trace, sink, observer);
-            }
-            KernelKind::Swar => {
-                let config = &self.core.config;
-                let (skip, cw, tw) = (
-                    config.skip_factor(),
-                    config.current_window(),
-                    config.trailing_window(),
-                );
-                let mut windows = SwarWindows::begin(&mut self.swar, trace, skip, cw, tw);
-                drive(&mut self.core, &mut windows, trace, sink, observer);
-            }
-        }
+        let config = &self.core.config;
+        let (skip, cw, tw) = (
+            config.skip_factor(),
+            config.current_window(),
+            config.trailing_window(),
+        );
+        let mut windows = SwarWindows::begin(&mut self.swar, trace, skip, cw, tw);
+        drive(&mut self.core, &mut windows, trace, sink, observer);
     }
 
     /// Runs over a pre-interned trace discarding the state stream and
@@ -639,20 +566,11 @@ impl PhaseDetector {
     }
 
     /// Resets this detector to a fresh run of `config`, reusing the
-    /// allocations of both kernels (per-site tables, element deque,
-    /// distinct lists), the interner and the streaming id log sized by
-    /// previous runs, and keeping the kernel choice. Equivalent to
-    /// `*self = PhaseDetector::with_kernel(config, self.kernel())` but
-    /// without reallocating — the sweep engine's per-thread scratch
-    /// path.
+    /// kernel's per-site tables, the interner and the streaming id log
+    /// sized by previous runs. Equivalent to
+    /// `*self = PhaseDetector::new(config)` but without reallocating —
+    /// the sweep engine's per-thread scratch path.
     pub fn reconfigure(&mut self, config: DetectorConfig) {
-        if let Some(windows) = &mut self.windows {
-            windows.reset_shape(
-                config.current_window(),
-                config.trailing_window(),
-                config.model() == crate::ModelPolicy::WeightedSet,
-            );
-        }
         self.stream.reset();
         self.core.analyzer = Analyzer::new(config.analyzer());
         self.core.state = PhaseState::Transition;
@@ -764,7 +682,7 @@ mod tests {
     #[test]
     fn run_and_run_interned_agree() {
         for tw_policy in [TwPolicy::Constant, TwPolicy::Adaptive] {
-            for model in ModelPolicy::ALL {
+            for model in ModelPolicy::ALL_EXTENDED {
                 let cfg = DetectorConfig::builder()
                     .current_window(16)
                     .tw_policy(tw_policy)
@@ -777,27 +695,6 @@ mod tests {
                 let interned = InternedTrace::from(&trace);
                 let states_b = PhaseDetector::new(cfg).run_interned(&interned);
                 assert_eq!(states_a, states_b, "{tw_policy} {model}");
-            }
-        }
-    }
-
-    #[test]
-    fn interned_runs_agree_across_kernels() {
-        for kernel in [KernelKind::Scalar, KernelKind::Swar] {
-            for model in ModelPolicy::ALL_EXTENDED {
-                let cfg = DetectorConfig::builder()
-                    .current_window(16)
-                    .model(model)
-                    .build()
-                    .unwrap();
-                let trace = block_trace(4, 200, 5);
-                let interned = InternedTrace::from(&trace);
-                let mut d = PhaseDetector::with_kernel(cfg, kernel);
-                assert_eq!(d.kernel(), kernel);
-                let states = d.run_interned(&interned);
-                let reference =
-                    PhaseDetector::with_kernel(cfg, KernelKind::Scalar).run_interned(&interned);
-                assert_eq!(states, reference, "{kernel} {model}");
             }
         }
     }
@@ -844,31 +741,27 @@ mod tests {
             .tw_policy(TwPolicy::Adaptive)
             .build()
             .unwrap();
-        for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-            let mut d = PhaseDetector::with_kernel(cfg, kernel);
-            for i in 0..200 {
-                d.process(&[elem(i % 4)]);
-            }
-            assert!(d.state().is_phase());
-            assert!(
-                d.tw_len() > d.config().trailing_window(),
-                "{kernel}: adaptive TW should have grown: {} <= {}",
-                d.tw_len(),
-                d.config().trailing_window()
-            );
+        let mut d = PhaseDetector::new(cfg);
+        for i in 0..200 {
+            d.process(&[elem(i % 4)]);
         }
+        assert!(d.state().is_phase());
+        assert!(
+            d.tw_len() > d.config().trailing_window(),
+            "adaptive TW should have grown: {} <= {}",
+            d.tw_len(),
+            d.config().trailing_window()
+        );
     }
 
     #[test]
     fn constant_tw_stays_at_capacity() {
-        for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-            let mut d = PhaseDetector::with_kernel(config(8), kernel);
-            for i in 0..200 {
-                d.process(&[elem(i % 4)]);
-            }
-            assert!(d.state().is_phase());
-            assert_eq!(d.tw_len(), 8, "{kernel}");
+        let mut d = PhaseDetector::new(config(8));
+        for i in 0..200 {
+            d.process(&[elem(i % 4)]);
         }
+        assert!(d.state().is_phase());
+        assert_eq!(d.tw_len(), 8);
     }
 
     #[test]

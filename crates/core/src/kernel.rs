@@ -1,28 +1,20 @@
-//! Pluggable window kernels: the scalar deque reference and the
-//! structure-of-arrays / bitset (SWAR) fast path.
+//! The window kernel: the structure-of-arrays / bitset (SWAR)
+//! representation of the CW/TW pair every detector and sweep runs on.
 //!
-//! [`WindowKernel`] abstracts the window state a detector drives. Two
-//! implementations exist:
-//!
-//! * the scalar [`Windows`] deque — the reference kernel, retained
-//!   verbatim as the differential-testing baseline (selected only by
-//!   tests, an explicit [`KernelKind::Scalar`] and the kernel
-//!   benchmark's baseline arm);
-//! * [`SwarWindows`] — the default kernel, for batch runs over a
-//!   pre-interned trace and for streaming input alike. It never
-//!   materializes a window buffer at all: because every window
-//!   operation (push, phase-end flush with CW re-seeding,
-//!   anchor-and-resize) preserves the invariant that *the buffered
-//!   elements are one contiguous run of the trace*, the whole window
-//!   state is three indices `a ≤ b ≤ c` with TW = `trace[a..b)` and
-//!   CW = `trace[b..c)`. Advancing by a step moves the three indices
-//!   by closed forms and touches only the per-site counts of the at
-//!   most `3 · step` *dirty* sites in the spans the indices moved
-//!   over — O(dirty) incremental updates instead of per-element deque
-//!   traffic. Per-site membership is additionally packed into `u64`
-//!   bit lanes (bit = "count > 0", maintained branchlessly), so the
-//!   unweighted and Pearson set reductions are popcount passes over
-//!   `lanes = ⌈sites/64⌉` words instead of per-site scalar loops.
+//! [`SwarWindows`] serves batch runs over a pre-interned trace and
+//! streaming input alike. It never materializes a window buffer at
+//! all: because every window operation (push, phase-end flush with CW
+//! re-seeding, anchor-and-resize) preserves the invariant that *the
+//! buffered elements are one contiguous run of the trace*, the whole
+//! window state is three indices `a ≤ b ≤ c` with TW = `trace[a..b)`
+//! and CW = `trace[b..c)`. Advancing by a step moves the three indices
+//! by closed forms and touches only the per-site counts of the at most
+//! `3 · step` *dirty* sites in the spans the indices moved over —
+//! O(dirty) incremental updates instead of per-element deque traffic.
+//! Per-site membership is additionally packed into `u64` bit lanes
+//! (bit = "count > 0", maintained branchlessly), so the unweighted and
+//! Pearson set reductions are popcount passes over `lanes =
+//! ⌈sites/64⌉` words instead of per-site scalar loops.
 //!
 //! A streaming detector ([`PhaseDetector::process`]
 //! (crate::PhaseDetector::process)) cannot know the trace up front,
@@ -44,169 +36,27 @@
 //! *advance*. Rank mode needs the whole trace, so streaming runs stay
 //! dense.
 //!
-//! Every kernel reduces its state to the same exact integer
-//! quantities and shares the floating-point tail in
-//! [`crate::model::exact`], so similarity streams are bit-identical
-//! across kernels by construction; `tests/kernel_equivalence.rs` and
-//! `tests/streaming_equivalence.rs` lock this differentially.
+//! Both modes reduce their state to the same exact integer quantities
+//! and share the floating-point tail in [`crate::model::exact`], so
+//! their similarity streams are bit-identical by construction. The
+//! reference the kernel is checked against is not a second kernel but
+//! an executable specification of the paper's Figure 3
+//! (`tests/common/spec.rs`): plain queues, per-site counts changed only
+//! by push and evict, and a full O(sites) similarity pass per judged
+//! step. `tests/kernel_equivalence.rs`, `tests/streaming_equivalence.rs`
+//! and `tests/window_props.rs` lock the kernel to it differentially.
 
 use std::borrow::BorrowMut;
 
+use crate::config::{AnchorPolicy, ResizePolicy};
 use crate::intern::{InternedTrace, SiteIndex};
 use crate::model::{exact, ModelPolicy};
-use crate::window::{AnchorPolicy, ResizePolicy, Windows};
 
 /// Smallest skip factor for which the SWAR kernel prefers rank mode
 /// (see the module docs): below this, dense per-element maintenance
 /// is cheaper than an O(sites) rank pass per judge. The static cost
 /// model in `opd-analyze` mirrors this cutoff.
 pub const RANK_MODE_MIN_SKIP: usize = 32;
-
-/// Which window kernel a detector or sweep engine runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelKind {
-    /// The scalar deque reference kernel.
-    Scalar,
-    /// The SoA/bitset kernel (default for interned-trace runs).
-    #[default]
-    Swar,
-}
-
-impl KernelKind {
-    /// Stable lowercase name, used in reports and bench artifacts.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Swar => "swar",
-        }
-    }
-}
-
-impl core::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-/// The window operations a detector state machine drives, factored
-/// out of [`Windows`] so `finish_step` and the sweep engine's shared
-/// scan are generic over the kernel.
-pub(crate) trait WindowKernel {
-    /// Consumes one step of `chunk.len()` elements. For the SWAR
-    /// kernel `chunk` must be the next contiguous run of the trace
-    /// the kernel was started on.
-    fn advance(&mut self, chunk: &[u32], tw_grows: bool);
-
-    /// `true` once both windows have filled since the last flush.
-    fn is_warm(&self) -> bool;
-
-    /// Current-window length.
-    fn cw_len(&self) -> usize;
-
-    /// Trailing-window length.
-    fn tw_len(&self) -> usize;
-
-    /// The similarity of the two windows under `model`.
-    fn similarity(&self, model: ModelPolicy) -> f64;
-
-    /// The anchor index (relative to the TW front) per `policy`.
-    fn anchor_index(&mut self, policy: AnchorPolicy) -> usize;
-
-    /// Global element offset of a TW-relative index.
-    fn offset_of_index(&self, index: usize) -> u64;
-
-    /// Applies the anchor and resize policies at a phase start;
-    /// returns the global offset of the anchor element.
-    fn anchor_and_resize(&mut self, anchor_idx: usize, resize: ResizePolicy) -> u64;
-
-    /// Flushes both windows, keeping the most recent `keep` elements
-    /// as the new (partial) CW.
-    fn clear_keep_last(&mut self, keep: usize);
-
-    /// Comparison ops one judged step costs at runtime under `model`,
-    /// mirroring the static cost model's accounting against the
-    /// actual kernel state.
-    fn judge_ops(&self, model: ModelPolicy) -> u64;
-}
-
-/// A kernel whose window state can be snapshotted into an
-/// independently evolving copy — the primitive behind the sweep
-/// engine's *forking* shared scan for adaptive-TW groups: members
-/// entering a phase fork the shared FIFO windows, apply their anchor
-/// and resize there, and let the copy grow its TW privately while the
-/// FIFO scans on for the members still in transition.
-pub(crate) trait ForkableKernel: WindowKernel {
-    /// The owned-state kernel a fork evolves as.
-    type Forked: WindowKernel;
-
-    /// Snapshots the current window state.
-    fn fork(&self) -> Self::Forked;
-}
-
-impl ForkableKernel for Windows {
-    type Forked = Windows;
-
-    fn fork(&self) -> Windows {
-        self.clone()
-    }
-}
-
-impl WindowKernel for Windows {
-    fn advance(&mut self, chunk: &[u32], tw_grows: bool) {
-        for &id in chunk {
-            self.push(id, tw_grows);
-        }
-    }
-
-    fn is_warm(&self) -> bool {
-        Windows::is_warm(self)
-    }
-
-    fn cw_len(&self) -> usize {
-        Windows::cw_len(self)
-    }
-
-    fn tw_len(&self) -> usize {
-        Windows::tw_len(self)
-    }
-
-    fn similarity(&self, model: ModelPolicy) -> f64 {
-        model.similarity(self)
-    }
-
-    fn anchor_index(&mut self, policy: AnchorPolicy) -> usize {
-        Windows::anchor_index(self, policy)
-    }
-
-    fn offset_of_index(&self, index: usize) -> u64 {
-        Windows::offset_of_index(self, index)
-    }
-
-    fn anchor_and_resize(&mut self, anchor_idx: usize, resize: ResizePolicy) -> u64 {
-        Windows::anchor_and_resize(self, anchor_idx, resize)
-    }
-
-    fn clear_keep_last(&mut self, keep: usize) {
-        Windows::clear_keep_last(self, keep)
-    }
-
-    fn judge_ops(&self, model: ModelPolicy) -> u64 {
-        match model {
-            ModelPolicy::UnweightedSet => 2,
-            ModelPolicy::WeightedSet => {
-                // `weighted_similarity`'s fast path: tracked windows
-                // at exactly their capacities use the integer min-sum.
-                if self.cw_len() == self.cw_cap() && Windows::tw_len(self) == self.tw_cap() {
-                    2
-                } else {
-                    self.distinct_cw() as u64 + 2
-                }
-            }
-            ModelPolicy::Pearson => self.distinct_cw() as u64 + self.tw_sites().len() as u64 + 2,
-        }
-    }
-}
 
 /// The SWAR kernel's owned scratch: per-site count columns, the
 /// membership bit lanes, and the rank-mode anchor rebuild buffer.
@@ -305,7 +155,7 @@ impl SwarCursor {
 ///
 /// The state storage is generic: the engine-driven run borrows the
 /// per-thread scratch (`S = &mut SwarKernelState`, the default), while
-/// a [`fork`](ForkableKernel::fork) owns a snapshot
+/// a [`fork`](SwarWindows::fork) owns a snapshot
 /// (`S = SwarKernelState`) so phase-entering sweep members can evolve
 /// their windows independently of the shared FIFO they forked from.
 pub(crate) struct SwarWindows<'a, S = &'a mut SwarKernelState>
@@ -410,12 +260,14 @@ impl<'a> SwarWindows<'a> {
             warm: self.warm,
         }
     }
-}
 
-impl<'a> ForkableKernel for SwarWindows<'a> {
-    type Forked = SwarWindows<'a, SwarKernelState>;
-
-    fn fork(&self) -> Self::Forked {
+    /// Snapshots the current window state into an owned, independently
+    /// evolving copy — the primitive behind the sweep engine's
+    /// *forking* shared scan for adaptive-TW groups: members entering a
+    /// phase fork the shared FIFO windows, apply their anchor and
+    /// resize there, and let the copy grow its TW privately while the
+    /// FIFO scans on for the members still in transition.
+    pub(crate) fn fork(&self) -> SwarWindows<'a, SwarKernelState> {
         SwarWindows {
             ids: self.ids,
             index: self.index,
@@ -566,10 +418,11 @@ impl<'a, S: BorrowMut<SwarKernelState>> SwarWindows<'a, S> {
             }
         }
     }
-}
 
-impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
-    fn advance(&mut self, chunk: &[u32], tw_grows: bool) {
+    /// Consumes one step of `chunk.len()` elements; `chunk` must be
+    /// the next contiguous run of the trace the kernel was started on.
+    /// `tw_grows` suppresses TW eviction (adaptive TW, in phase).
+    pub(crate) fn advance(&mut self, chunk: &[u32], tw_grows: bool) {
         debug_assert!(
             core::ptr::eq(chunk.as_ptr(), self.ids[self.c..].as_ptr()),
             "SWAR kernel must be fed the trace's own chunks in order"
@@ -604,26 +457,31 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
         self.b = b2;
         self.c = c2;
         // Both warm conditions are monotone within one advance, so
-        // the scalar kernel's per-push sticky check reduces to one
+        // the per-push sticky check of Figure 3 reduces to one
         // end-of-step check.
         if !self.warm && b2 - a2 >= self.tw_cap && cw2 >= self.cw_cap {
             self.warm = true;
         }
     }
 
-    fn is_warm(&self) -> bool {
+    /// `true` once both windows have filled since the last flush.
+    pub(crate) fn is_warm(&self) -> bool {
         self.warm
     }
 
-    fn cw_len(&self) -> usize {
+    /// Current-window length.
+    pub(crate) fn cw_len(&self) -> usize {
         self.c - self.b
     }
 
-    fn tw_len(&self) -> usize {
+    /// Trailing-window length.
+    pub(crate) fn tw_len(&self) -> usize {
         self.b - self.a
     }
 
-    fn similarity(&self, model: ModelPolicy) -> f64 {
+    /// The similarity of the two windows under `model`; empty
+    /// windows yield `0`.
+    pub(crate) fn similarity(&self, model: ModelPolicy) -> f64 {
         let cw_len = self.c - self.b;
         let tw_len = self.b - self.a;
         if cw_len == 0 || tw_len == 0 {
@@ -635,7 +493,11 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
         }
     }
 
-    fn anchor_index(&mut self, policy: AnchorPolicy) -> usize {
+    /// The anchor index (relative to the TW front) per `policy`:
+    /// one right of the rightmost TW element absent from the CW (RN,
+    /// `0` when there is none), or the leftmost TW element present in
+    /// the CW (LNN, `tw_len` when there is none).
+    pub(crate) fn anchor_index(&mut self, policy: AnchorPolicy) -> usize {
         let ids = self.ids;
         let tw = &ids[self.a..self.b];
         let st = self.st.borrow_mut();
@@ -672,18 +534,24 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
         }
     }
 
-    fn offset_of_index(&self, index: usize) -> u64 {
+    /// Global element offset of a TW-relative index.
+    pub(crate) fn offset_of_index(&self, index: usize) -> u64 {
         self.origin + (self.a + index) as u64
     }
 
-    fn anchor_and_resize(&mut self, anchor_idx: usize, resize: ResizePolicy) -> u64 {
+    /// Applies the anchor and resize policies at a phase start: drops
+    /// the TW prefix before `anchor_idx`, then either slides the TW
+    /// right (restoring its capacity at the CW's expense) or merely
+    /// moves its left boundary. Returns the global offset of the
+    /// anchor element.
+    pub(crate) fn anchor_and_resize(&mut self, anchor_idx: usize, resize: ResizePolicy) -> u64 {
         let anchor_offset = self.offset_of_index(anchor_idx);
         let tw_len = self.b - self.a;
         let a2 = self.a + anchor_idx.min(tw_len);
         // Slide extends the TW into the CW up to its capacity,
         // leaving at least one CW element — the closed form of the
-        // scalar shift loop (a no-op whenever the TW already meets
-        // its capacity or the CW is down to one element).
+        // per-element shift loop (a no-op whenever the TW already
+        // meets its capacity or the CW is down to one element).
         let b2 = if resize == ResizePolicy::Slide {
             self.b.max((a2 + self.tw_cap).min(self.c.saturating_sub(1)))
         } else {
@@ -698,7 +566,10 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
         anchor_offset
     }
 
-    fn clear_keep_last(&mut self, keep: usize) {
+    /// Flushes both windows, keeping the most recent `keep` elements
+    /// as the new (partial) CW — the paper's `clearWindows` plus CW
+    /// re-seeding.
+    pub(crate) fn clear_keep_last(&mut self, keep: usize) {
         let kept = keep.min(self.c - self.a);
         let front = self.c - kept;
         self.a = front;
@@ -716,7 +587,10 @@ impl<S: BorrowMut<SwarKernelState>> WindowKernel for SwarWindows<'_, S> {
         self.warm = false;
     }
 
-    fn judge_ops(&self, model: ModelPolicy) -> u64 {
+    /// Comparison ops one judged step costs under `model`, mirroring
+    /// the static cost model's accounting against the actual kernel
+    /// state.
+    pub(crate) fn judge_ops(&self, model: ModelPolicy) -> u64 {
         let n = self.n_sites as u64;
         if self.index.is_some() {
             // Three rank lookups and a reduction per site.

@@ -54,17 +54,18 @@ mod predict;
 mod recur;
 mod related;
 mod sweep;
-mod window;
 
 pub use analyzer::{Analyzer, AnalyzerPolicy};
 pub use boundary::{anchored_intervals, detected_intervals, DetectedPhase};
-pub use config::{ConfigError, ConfigShape, DetectorConfig, DetectorConfigBuilder};
+pub use config::{
+    AnchorPolicy, ConfigError, ConfigShape, DetectorConfig, DetectorConfigBuilder, ResizePolicy,
+    TwPolicy,
+};
 pub use detector::{DetectorError, NullSink, PhaseDetector, StateSink};
 pub use intern::InternedTrace;
-pub use kernel::{swar_footprint_bytes, KernelKind, RANK_MODE_MIN_SKIP};
+pub use kernel::{swar_footprint_bytes, RANK_MODE_MIN_SKIP};
 pub use model::ModelPolicy;
 pub use predict::{PhasePredictor, Prediction};
 pub use recur::{PhaseId, PhaseRegistry, PhaseSignature, RecurringPhase, RecurringPhaseDetector};
 pub use related::{run_online, OnlineDetector, PcRangeDetector};
 pub use sweep::{SweepEngine, SweepError, SweepScratch, SweepUnit, UnitKind};
-pub use window::{AnchorPolicy, ResizePolicy, TwPolicy, Windows};

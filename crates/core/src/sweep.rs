@@ -2,67 +2,67 @@
 //!
 //! A parameter sweep runs many [`DetectorConfig`]s over one interned
 //! trace. The expensive part of each run is *window maintenance* —
-//! deque pushes, eviction, multiset counts, distinct-set upkeep in
-//! [`Windows::push`] — and it depends only on the window **shape**
-//! `(cw, tw, skip)`, never on the model, analyzer, or anchor policy.
-//! The engine therefore groups a config grid by shape and, per
-//! Constant-TW group, makes **one** scan of the trace: the shared
-//! `Windows` advance once per step while each member config evaluates
-//! only its cheap residue (memoized model similarity, analyzer
-//! judgment, anchor bookkeeping, phase boundaries).
+//! the per-site counts and membership lanes the window kernel updates
+//! as elements enter the CW, move to the TW and are evicted — and it
+//! depends only on the window **shape** `(cw, tw, skip)`, never on the
+//! model, analyzer, or anchor policy. The engine therefore groups a
+//! config grid by shape and, per Constant-TW group, makes **one** scan
+//! of the trace: the shared windows advance once per step while each
+//! member config evaluates only its cheap residue (memoized model
+//! similarity, analyzer judgment, anchor bookkeeping, phase
+//! boundaries).
 //!
 //! # Why sharing is exact (shape-group invariants)
 //!
-//! With a Constant trailing window and `skip ≤ cw`, window evolution
-//! is a pure FIFO over the element stream: once `cw + tw` elements
-//! have been consumed, the buffer holds *exactly the last `cw + tw`
+//! With a Constant trailing window and `skip ≤ cw`, window evolution is
+//! a pure FIFO over the element stream: once `cw + tw` elements have
+//! been consumed, the buffer holds *exactly the last `cw + tw`
 //! elements*, independent of any per-config state. A private detector
 //! differs from that saturated FIFO in exactly one way: at each phase
-//! end it flushes its windows, keeping the last `skip` elements
-//! ([`Windows::clear_keep_last`]). But a flushed detector is not
-//! *warm* again until its buffer refills to `cw + tw` — which takes
+//! end it flushes its windows, keeping the last `skip` elements (Figure
+//! 3's `clearWindows` with CW re-seeding). But a flushed detector is
+//! not *warm* again until its buffer refills to `cw + tw` — which takes
 //! `cw + tw − skip` further elements — and a non-warm detector reads
 //! nothing from its windows (it reports `T` unconditionally). Once
 //! refilled, its buffer again holds exactly the last `cw + tw` stream
-//! elements at the same global offset, i.e. it is bit-identical to
-//! the never-flushed shared window. So the engine tracks, per member,
-//! only the element count at which the member becomes warm again
+//! elements at the same global offset, i.e. it is bit-identical to the
+//! never-flushed shared window. So the engine tracks, per member, only
+//! the element count at which the member becomes warm again
 //! (`warm_from`), and the flush itself never has to happen.
 //!
-//! The `skip ≤ cw` restriction exists because [`Windows::push`]
-//! transfers at most one element per push from CW to TW: re-seeding
-//! the CW with `skip > cw` elements would leave the CW over capacity
-//! while the TW refills, so the private buffer would transiently hold
-//! *more* than `cw + tw` elements at warm-up — a state the shared
-//! window never visits. Such configs (rare: `full_grid` uses
-//! `skip ∈ {1, cw/10, cw}`) simply run on the private path.
+//! The `skip ≤ cw` restriction exists because a push transfers at most
+//! one element from the CW to the TW: re-seeding the CW with `skip >
+//! cw` elements would leave the CW over capacity while the TW refills,
+//! so the private buffer would transiently hold *more* than `cw + tw`
+//! elements at warm-up — a state the shared window never visits. Such
+//! configs (rare: `full_grid` uses `skip ∈ {1, cw/10, cw}`) simply run
+//! on the private path.
 //!
 //! # Adaptive-TW groups: the forking shared scan
 //!
 //! An Adaptive-TW config's windows deviate from the pure FIFO only
-//! *while the config is inside a phase*: at phase entry it mutates
-//! the windows ([`Windows::anchor_and_resize`]) and while in phase it
-//! suppresses TW eviction, so in-phase window contents depend on the
-//! config's own detection history. But outside a phase the same FIFO
-//! argument as above applies — in Transition the TW policy never
-//! fires (`tw_grows` is false), and after the phase-exit flush the
-//! refill path is push-for-push identical to a Constant-TW refill, so
-//! the refilled state is again bit-identical to the never-flushed
-//! FIFO at the same offset. The engine therefore runs one shared FIFO
-//! per adaptive shape group too, and handles phases by **forking**:
-//! at a member's phase entry the FIFO state is snapshotted
-//! ([`ForkableKernel::fork`]), `anchor_and_resize` is applied to the
-//! snapshot, and the member judges that *phase class* (advanced with
-//! TW growth each step) until its phase ends — at which point the
-//! member records its refill point and rejoins the FIFO pool, exactly
-//! like a Constant-TW flush.
+//! *while the config is inside a phase*: at phase entry it mutates the
+//! windows (anchor and resize) and while in phase it suppresses TW
+//! eviction, so in-phase window contents depend on the config's own
+//! detection history. But outside a phase the same FIFO argument as
+//! above applies — in Transition the TW policy never fires (`tw_grows`
+//! is false), and after the phase-exit flush the refill path is
+//! push-for-push identical to a Constant-TW refill, so the refilled
+//! state is again bit-identical to the never-flushed FIFO at the same
+//! offset. The engine therefore runs one shared FIFO per adaptive shape
+//! group too, and handles phases by **forking**: at a member's phase
+//! entry the FIFO state is snapshotted (forked), the anchor and resize
+//! policies are applied to the snapshot, and the member judges that
+//! *phase class* (advanced with TW growth each step) until its phase
+//! ends — at which point the member records its refill point and
+//! rejoins the FIFO pool, exactly like a Constant-TW flush.
 //!
 //! A class is identified by its **window boundaries**, not by the step
-//! it was forked on. Windows are always contiguous trace slices: TW =
-//! `trace[a..b)` and CW = `trace[b..c)`, where the end `c` is the
-//! scan's element count and so common to every class. Two classes
-//! with equal `(a, b)` therefore hold bit-identical windows on both
-//! kernels, and their members share one class:
+//! it was forked on. The windows are always contiguous trace slices:
+//! TW = `trace[a..b)` and CW = `trace[b..c)`, where the end `c` is the
+//! scan's element count and so common to every class. Two classes with
+//! equal `(a, b)` therefore hold bit-identical windows, and their
+//! members share one class:
 //!
 //! * **Join at entry.** An entering member computes the boundaries its
 //!   anchor and resize policies would produce in closed form, before
@@ -96,10 +96,9 @@
 //! reuse), for the over-full-CW reason above; they run through the
 //! same engine and its work distribution.
 //!
-//! Mixed-model groups are also exact: the shared windows enable
-//! weighted min-sum tracking iff some member uses the weighted model.
-//! Members that don't never read `min_sum`, and members that do see
-//! the same integer fast path a private tracking window would use.
+//! Mixed-model groups are also exact: a model's similarity is a pure
+//! function of the window contents, memoized once per step per model
+//! and judged by every member that uses it.
 //!
 //! # Example
 //!
@@ -127,18 +126,18 @@
 //! # Ok::<(), opd_core::ConfigError>(())
 //! ```
 
+use std::borrow::BorrowMut;
 use std::collections::HashMap;
 
 use opd_trace::{DetectorEvent, DetectorObserver, NullObserver, PhaseState};
 
 use crate::analyzer::Analyzer;
 use crate::boundary::DetectedPhase;
-use crate::config::{ConfigShape, DetectorConfig};
+use crate::config::{AnchorPolicy, ConfigShape, DetectorConfig, ResizePolicy};
 use crate::detector::PhaseDetector;
 use crate::intern::InternedTrace;
-use crate::kernel::{ForkableKernel, KernelKind, SwarKernelState, SwarWindows, WindowKernel};
+use crate::kernel::{SwarKernelState, SwarWindows};
 use crate::model::ModelPolicy;
-use crate::window::{AnchorPolicy, ResizePolicy, Windows};
 
 /// Error from the fallible sweep entry points
 /// ([`SweepEngine::try_run_unit`]).
@@ -216,9 +215,9 @@ impl SweepUnit {
     }
 }
 
-/// Per-thread reusable state for private-path runs: one
-/// [`PhaseDetector`] whose window allocations (site tables, deque,
-/// distinct lists) are sized once per trace and reused across configs.
+/// Per-thread reusable state: one [`PhaseDetector`] for private-path
+/// runs and one kernel state for shared scans, whose per-site tables
+/// are sized once per trace and reused across configs and units.
 #[derive(Debug, Default)]
 pub struct SweepScratch {
     detector: Option<PhaseDetector>,
@@ -249,7 +248,7 @@ impl SweepScratch {
         }
     }
 
-    fn detector_for(&mut self, config: DetectorConfig, kernel: KernelKind) -> &mut PhaseDetector {
+    fn detector_for(&mut self, config: DetectorConfig) -> &mut PhaseDetector {
         let detector = match &mut self.detector {
             Some(d) => {
                 d.reconfigure(config);
@@ -257,7 +256,6 @@ impl SweepScratch {
             }
             slot @ None => slot.insert(PhaseDetector::new(config)),
         };
-        detector.set_kernel(kernel);
         detector.reserve_sites(self.site_capacity);
         detector
     }
@@ -273,25 +271,14 @@ impl SweepScratch {
 pub struct SweepEngine<'a> {
     configs: &'a [DetectorConfig],
     units: Vec<SweepUnit>,
-    kernel: KernelKind,
 }
 
 impl<'a> SweepEngine<'a> {
     /// Plans a sweep over `configs`: groups shareable configs by
     /// window shape (first-seen order) and gives every other config a
-    /// private unit. Runs use the default window kernel; see
-    /// [`with_kernel`](Self::with_kernel).
+    /// private unit.
     #[must_use]
     pub fn new(configs: &'a [DetectorConfig]) -> Self {
-        Self::with_kernel(configs, KernelKind::default())
-    }
-
-    /// Like [`new`](Self::new), but running every unit (shared scans
-    /// and private detectors) on an explicit window kernel. Both
-    /// kernels produce bit-identical results; the scalar kernel exists
-    /// as the differential-testing reference.
-    #[must_use]
-    pub fn with_kernel(configs: &'a [DetectorConfig], kernel: KernelKind) -> Self {
         // Constant-TW and Adaptive-TW groups are keyed separately:
         // identical shapes under different TW policies cannot share a
         // scan (the adaptive scan forks, the constant one never does).
@@ -323,23 +310,13 @@ impl<'a> SweepEngine<'a> {
                 }),
             }
         }
-        SweepEngine {
-            configs,
-            units,
-            kernel,
-        }
+        SweepEngine { configs, units }
     }
 
     /// The configs this engine plans over.
     #[must_use]
     pub fn configs(&self) -> &'a [DetectorConfig] {
         self.configs
-    }
-
-    /// The window kernel this engine's runs use.
-    #[must_use]
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// The planned units, in deterministic planning order.
@@ -416,13 +393,13 @@ impl<'a> SweepEngine<'a> {
     ) -> Vec<(usize, Vec<DetectedPhase>)> {
         match unit.kind {
             UnitKind::SharedConstant | UnitKind::SharedAdaptive => {
-                run_shared_unit(self.configs, unit, trace, scratch, self.kernel, observer)
+                run_shared_unit(self.configs, unit, trace, scratch, observer)
             }
             UnitKind::Private => unit
                 .config_indices
                 .iter()
                 .map(|&i| {
-                    let detector = scratch.detector_for(self.configs[i], self.kernel);
+                    let detector = scratch.detector_for(self.configs[i]);
                     let _ = detector.run_interned_phases_observed(trace, observer);
                     (i, detector.take_phases())
                 })
@@ -490,9 +467,9 @@ const MEMO_HIT_OPS: u64 = 2;
 /// judges exactly one window state per step), so shared-scan
 /// comparison ops stay at or below the static per-member bound.
 #[inline(always)]
-fn observe_similarity<O: DetectorObserver, K: WindowKernel>(
+fn observe_similarity<O: DetectorObserver, S: BorrowMut<SwarKernelState>>(
     observer: &mut O,
-    windows: &K,
+    windows: &SwarWindows<'_, S>,
     member: &Member,
     step: u64,
     value: f64,
@@ -577,11 +554,11 @@ impl Member {
     }
 }
 
-/// One scan of `trace` evaluating every member of a shared unit,
-/// dispatched to the engine's kernel: a Constant-TW group against
-/// shared windows, or an Adaptive-TW group against a shared FIFO with
-/// copy-on-phase-entry forks. See the module docs for the exactness
-/// argument; the debug checks below are its preconditions (the
+/// One scan of `trace` evaluating every member of a shared unit: a
+/// Constant-TW group against shared windows, or an Adaptive-TW group
+/// against a shared FIFO with copy-on-phase-entry forks. See the
+/// module docs for the exactness argument; the debug checks below are
+/// its preconditions (the
 /// planner only groups configs shareable under the unit's TW policy
 /// and of identical shape, and sharing is exact only when a flush's
 /// kept elements fit in the CW, `skip <= cw`).
@@ -590,7 +567,6 @@ fn run_shared_unit<O: DetectorObserver>(
     unit: &SweepUnit,
     trace: &InternedTrace,
     scratch: &mut SweepScratch,
-    kernel: KernelKind,
     observer: &mut O,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let member_indices = &unit.config_indices;
@@ -619,29 +595,13 @@ fn run_shared_unit<O: DetectorObserver>(
         .map(|&i| Member::new(i, configs[i]))
         .collect();
     let sites = (trace.distinct_count() as usize).max(scratch.site_capacity);
-    match kernel {
-        KernelKind::Scalar => {
-            let track = member_indices
-                .iter()
-                .any(|&i| configs[i].model() == ModelPolicy::WeightedSet);
-            let mut windows = Windows::with_site_capacity(cw, tw, track, sites);
-            if adaptive {
-                let mut classes = PhaseClasses::new();
-                run_shared_adaptive_scan(members, trace, skip, &mut windows, &mut classes, observer)
-            } else {
-                run_shared_group_scan(members, trace, skip, &mut windows, observer)
-            }
-        }
-        KernelKind::Swar => {
-            scratch.shared_swar.ensure_sites(sites);
-            let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
-            if adaptive {
-                let mut classes = PhaseClasses::new();
-                run_shared_adaptive_scan(members, trace, skip, &mut windows, &mut classes, observer)
-            } else {
-                run_shared_group_scan(members, trace, skip, &mut windows, observer)
-            }
-        }
+    scratch.shared_swar.ensure_sites(sites);
+    let mut windows = SwarWindows::begin(&mut scratch.shared_swar, trace, skip, cw, tw);
+    if adaptive {
+        let mut classes = PhaseClasses::new();
+        run_shared_adaptive_scan(members, trace, skip, &mut windows, &mut classes, observer)
+    } else {
+        run_shared_group_scan(members, trace, skip, &mut windows, observer)
     }
 }
 
@@ -661,14 +621,14 @@ fn close_members(members: Vec<Member>, consumed: u64) -> Vec<(usize, Vec<Detecte
         .collect()
 }
 
-/// The kernel-generic shared scan loop: one window advance per step,
+/// The Constant-TW shared scan loop: one window advance per step,
 /// every member evaluating only its cheap residue against the memoized
 /// per-model similarities.
-fn run_shared_group_scan<K: WindowKernel, O: DetectorObserver>(
+fn run_shared_group_scan<O: DetectorObserver>(
     mut members: Vec<Member>,
     trace: &InternedTrace,
     skip: usize,
-    windows: &mut K,
+    windows: &mut SwarWindows<'_>,
     observer: &mut O,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
@@ -733,8 +693,8 @@ fn run_shared_group_scan<K: WindowKernel, O: DetectorObserver>(
 
 /// One forked window state, shared by every in-phase member whose
 /// windows have the same boundaries (see the module docs).
-struct PhaseClass<F> {
-    windows: F,
+struct PhaseClass<'a> {
+    windows: SwarWindows<'a, SwarKernelState>,
     members: usize,
     /// Per-model similarity memo against `windows`, reset each step.
     sims: [f64; 3],
@@ -744,7 +704,7 @@ struct PhaseClass<F> {
 /// A window state's boundaries `(a, b)`: TW = `trace[a..b)` and CW =
 /// `trace[b..c)`, where the end `c` is the scan's element count and so
 /// common to every class. Equal boundaries mean bit-identical windows.
-fn boundaries<K: WindowKernel>(windows: &K) -> (u64, u64) {
+fn boundaries<S: BorrowMut<SwarKernelState>>(windows: &SwarWindows<'_, S>) -> (u64, u64) {
     let a = windows.offset_of_index(0);
     (a, a + windows.tw_len() as u64)
 }
@@ -762,8 +722,8 @@ enum ClassEvent {
 /// The live phase classes of one forking scan, at most one per
 /// boundary pair. Freed slots are recycled, so the table stays at the
 /// peak number of *live* classes.
-struct PhaseClasses<F> {
-    slots: Vec<PhaseClass<F>>,
+struct PhaseClasses<'a> {
+    slots: Vec<PhaseClass<'a>>,
     free: Vec<usize>,
     /// Slots whose CW filled to capacity during this step's advance:
     /// the only classes that can have converged onto another.
@@ -772,7 +732,7 @@ struct PhaseClasses<F> {
     log: Vec<ClassEvent>,
 }
 
-impl<F: WindowKernel> PhaseClasses<F> {
+impl<'a> PhaseClasses<'a> {
     fn new() -> Self {
         PhaseClasses {
             slots: Vec::new(),
@@ -827,7 +787,7 @@ impl<F: WindowKernel> PhaseClasses<F> {
     }
 
     /// Stores a freshly forked window state in a free slot.
-    fn insert(&mut self, windows: F) -> usize {
+    fn insert(&mut self, windows: SwarWindows<'a, SwarKernelState>) -> usize {
         let class = PhaseClass {
             windows,
             members: 0,
@@ -863,16 +823,15 @@ fn anchor_slot(policy: AnchorPolicy) -> usize {
     }
 }
 
-/// The kernel-generic forking scan loop: one FIFO advance plus one
-/// advance per live phase class per step, every member judging either
-/// the memoized FIFO similarities (in Transition) or its class's (in
-/// Phase).
-fn run_shared_adaptive_scan<K: ForkableKernel, O: DetectorObserver>(
+/// The forking scan loop: one FIFO advance plus one advance per live
+/// phase class per step, every member judging either the memoized FIFO
+/// similarities (in Transition) or its class's (in Phase).
+fn run_shared_adaptive_scan<'a, O: DetectorObserver>(
     mut members: Vec<Member>,
     trace: &InternedTrace,
     skip: usize,
-    fifo: &mut K,
-    classes: &mut PhaseClasses<K::Forked>,
+    fifo: &mut SwarWindows<'a>,
+    classes: &mut PhaseClasses<'a>,
     observer: &mut O,
 ) -> Vec<(usize, Vec<DetectedPhase>)> {
     let first = &members[0].config;
@@ -945,8 +904,8 @@ fn run_shared_adaptive_scan<K: ForkableKernel, O: DetectorObserver>(
                     // Phase start: join the live class whose windows
                     // have the boundaries this member's anchor and
                     // resize would produce, computed here in closed
-                    // form, or fork the FIFO if there is none. Both
-                    // kernels pop `anchor_idx` elements from the TW
+                    // form, or fork the FIFO if there is none. The
+                    // anchor pops `anchor_idx` elements from the TW
                     // front; Slide then tops the TW back up from the
                     // CW, whose last element (offset `consumed - 1`)
                     // never moves.
@@ -1000,7 +959,7 @@ mod tests {
     use super::*;
     use crate::analyzer::AnalyzerPolicy;
     use crate::boundary::{anchored_intervals, detected_intervals};
-    use crate::window::{AnchorPolicy, ResizePolicy, TwPolicy};
+    use crate::config::TwPolicy;
     use opd_trace::{MethodId, ProfileElement};
 
     fn block_trace(blocks: u32, block_len: u32, sites_per_block: u32) -> InternedTrace {
@@ -1194,25 +1153,21 @@ mod tests {
     fn metered_units_match_unmetered_results() {
         let configs = mixed_grid();
         let trace = block_trace(3, 120, 4);
-        for kernel in [KernelKind::Scalar, KernelKind::Swar] {
-            let engine = SweepEngine::with_kernel(&configs, kernel);
-            let mut scratch = SweepScratch::new();
-            let mut metrics = opd_obs::UnitMetrics::new();
-            for unit_index in 0..engine.units().len() {
-                let plain = engine.run_unit(unit_index, &trace, &mut scratch);
-                let metered =
-                    engine.run_unit_metered(unit_index, &trace, &mut scratch, &mut metrics);
-                assert_eq!(plain, metered, "{kernel} unit {unit_index}");
-            }
-            assert_eq!(metrics.scans as usize, engine.total_scans(), "{kernel}");
-            assert_eq!(
-                metrics.elements,
-                engine.total_scans() as u64 * trace.len() as u64,
-                "{kernel}"
-            );
-            assert!(metrics.judged_steps <= metrics.steps * configs.len() as u64);
-            assert!(metrics.compare_ops >= 2 * metrics.judged_steps);
+        let engine = SweepEngine::new(&configs);
+        let mut scratch = SweepScratch::new();
+        let mut metrics = opd_obs::UnitMetrics::new();
+        for unit_index in 0..engine.units().len() {
+            let plain = engine.run_unit(unit_index, &trace, &mut scratch);
+            let metered = engine.run_unit_metered(unit_index, &trace, &mut scratch, &mut metrics);
+            assert_eq!(plain, metered, "unit {unit_index}");
         }
+        assert_eq!(metrics.scans as usize, engine.total_scans());
+        assert_eq!(
+            metrics.elements,
+            engine.total_scans() as u64 * trace.len() as u64
+        );
+        assert!(metrics.judged_steps <= metrics.steps * configs.len() as u64);
+        assert!(metrics.compare_ops >= 2 * metrics.judged_steps);
     }
 
     #[test]
@@ -1234,29 +1189,33 @@ mod tests {
         })
         .collect();
         for config in configs {
-            let d = scratch.detector_for(config, KernelKind::default());
+            let d = scratch.detector_for(config);
             let _ = d.run_interned_phases_only(&trace);
             let reused = d.take_phases();
             assert_eq!(reused, reference(config, &trace), "{config:?}");
         }
     }
 
-    /// Runs the forking scan over `trace` on the scalar kernel and
-    /// returns its class-table log, checking every member's phases
-    /// against a sequential detector.
+    /// Runs the forking scan over `trace` and returns its class-table
+    /// log, checking every member's phases against a sequential
+    /// detector.
     fn adaptive_class_log(configs: &[DetectorConfig], trace: &InternedTrace) -> Vec<ClassEvent> {
         let first = configs[0];
         let members = (0..configs.len())
             .map(|i| Member::new(i, configs[i]))
             .collect();
-        let sites = trace.distinct_count() as usize;
-        let (cw, tw) = (first.current_window(), first.trailing_window());
-        let mut fifo = Windows::with_site_capacity(cw, tw, true, sites);
+        let (cw, tw, skip) = (
+            first.current_window(),
+            first.trailing_window(),
+            first.skip_factor(),
+        );
+        let mut state = SwarKernelState::default();
+        let mut fifo = SwarWindows::begin(&mut state, trace, skip, cw, tw);
         let mut classes = PhaseClasses::new();
         let results = run_shared_adaptive_scan(
             members,
             trace,
-            first.skip_factor(),
+            skip,
             &mut fifo,
             &mut classes,
             &mut NullObserver,
@@ -1347,14 +1306,5 @@ mod tests {
         assert!(merges > 0, "no refill merge: {log:?}");
         assert!(recycled > 0, "no slot freed by a merge was reused: {log:?}");
         assert!(forks > 0);
-    }
-
-    #[test]
-    fn engine_kernels_agree() {
-        let configs = mixed_grid();
-        let trace = block_trace(3, 120, 4);
-        let swar = SweepEngine::with_kernel(&configs, KernelKind::Swar).run_all(&trace);
-        let scalar = SweepEngine::with_kernel(&configs, KernelKind::Scalar).run_all(&trace);
-        assert_eq!(swar, scalar);
     }
 }

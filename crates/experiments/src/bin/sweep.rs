@@ -3,14 +3,14 @@
 //!
 //! Flags: `--scale N --threads N` (the workload is fixed to `ruleng`,
 //! a mid-sized benchmark; edit here to sweep another), plus
-//! `--write-bench`: additionally re-sweep the grid on the scalar
-//! reference kernel, assert both kernels produced identical results,
-//! and write the timing comparison to `BENCH_kernel.json` at the
-//! repository root.
+//! `--write-bench`: instead of printing, time the sweep
+//! `KERNEL_SAMPLES` times, assert every sample produced identical
+//! results, and write the samples with their min, median and max to
+//! `BENCH_kernel.json` at the repository root.
 
 use opd_experiments::cli;
 use opd_experiments::grid::{full_grid, MPLS_TABLE1};
-use opd_experiments::kernel_bench::run_kernel_bench;
+use opd_experiments::kernel_bench::{run_kernel_bench, KERNEL_SAMPLES};
 use opd_experiments::report::{fmt_mpl, fmt_score, Table};
 use opd_experiments::runner::{sweep, PreparedWorkload};
 use opd_microvm::workloads::Workload;
@@ -43,10 +43,16 @@ fn main() {
     );
 
     if write_bench {
-        let report = run_kernel_bench(&prepared, &configs, opts.threads, prepare_seconds);
+        let report = run_kernel_bench(
+            &prepared,
+            &configs,
+            opts.threads,
+            KERNEL_SAMPLES,
+            prepare_seconds,
+        );
         assert!(
-            report.results_identical,
-            "scalar and SWAR kernels diverged on the full grid"
+            report.samples_identical,
+            "repeated sweeps of the full grid diverged"
         );
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_kernel.json");
         if let Err(e) = std::fs::write(path, report.to_json()) {
@@ -54,12 +60,13 @@ fn main() {
             std::process::exit(2);
         }
         eprintln!(
-            "swar sweep {:.1}s ({:.1}x vs baseline), scalar sweep {:.1}s ({:.1}x vs scalar); \
+            "sweep median {:.1}s (min {:.1}s, max {:.1}s over {} samples; {:.1}x vs baseline); \
              results identical; wrote BENCH_kernel.json",
-            report.swar().sweep_seconds,
-            report.swar().speedup_vs_baseline(),
-            report.scalar().sweep_seconds,
-            report.swar_speedup_vs_scalar(),
+            report.median(),
+            report.min(),
+            report.max(),
+            report.samples.len(),
+            report.speedup_vs_baseline(),
         );
         return;
     }

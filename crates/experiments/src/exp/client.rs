@@ -14,12 +14,11 @@ use core::fmt;
 use core::ops::Range;
 
 use opd_client::{recommended_mpl, simulate_intervals, CostModel};
-use opd_core::KernelKind;
 
 use crate::exp::{avg, ExpOptions};
 use crate::grid::{half_mpl_cw, policy_grid, TwKind};
 use crate::report::{fmt_pct, Table};
-use crate::runner::{prepare_all, run_detector, sweep_many_with_kernel};
+use crate::runner::{prepare_all, run_detector, sweep_many_with};
 
 /// One client's aggregate outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -106,8 +105,7 @@ pub fn run(opts: &ExpOptions) -> ClientResult {
             config_mpl.resize(configs.len(), mpl);
         }
     }
-    let kernel = KernelKind::default();
-    let scores = sweep_many_with_kernel(&prepared, &configs, opts.threads, kernel, |p, ci, run| {
+    let scores = sweep_many_with(&prepared, &configs, opts.threads, |p, ci, run| {
         run.score(p.oracle(config_mpl[ci])).combined()
     });
 

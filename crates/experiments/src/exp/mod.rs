@@ -3,15 +3,15 @@
 //! Every module exposes `run(&ExpOptions) -> …Result`; results carry
 //! the structured data and render the paper-style table via
 //! `Display`. A sweeping artifact declares all its grids up front and
-//! runs them as one scheduled sweep ([`sweep_many_with_kernel`]),
+//! runs them as one scheduled sweep ([`sweep_many_with`]),
 //! scored in the workers.
 
 use opd_baseline::BaselineSolution;
-use opd_core::{DetectorConfig, KernelKind};
+use opd_core::DetectorConfig;
 use opd_microvm::workloads::Workload;
 use opd_scoring::AccuracyScore;
 
-use crate::runner::{default_threads, sweep_many_with_kernel, ConfigRun, PreparedWorkload};
+use crate::runner::{default_threads, sweep_many_with, ConfigRun, PreparedWorkload};
 
 pub mod client;
 pub mod fig4;
@@ -85,8 +85,7 @@ pub(crate) fn best_scores(
         configs.extend_from_slice(grid);
         owner.resize(configs.len(), gi);
     }
-    let kernel = KernelKind::default();
-    let scores = sweep_many_with_kernel(prepared, &configs, threads, kernel, |p, ci, run| {
+    let scores = sweep_many_with(prepared, &configs, threads, |p, ci, run| {
         let mpls = &grids[owner[ci]].1;
         let best = |&mpl: &u64| score(&run, p.oracle(mpl)).combined();
         mpls.iter().map(best).collect::<Vec<f64>>()

@@ -10,8 +10,8 @@
 //! * [`report`] — fixed-width table rendering for experiment output;
 //! * [`analysis`] — the per-workload static-bounds artifact
 //!   (`BENCH_static_bounds.json`) regress-checking runtime pre-sizing;
-//! * [`kernel_bench`] — the two-kernel sweep benchmark behind
-//!   `BENCH_kernel.json` (SWAR vs the scalar reference);
+//! * [`kernel_bench`] — the repeated full-grid sweep benchmark behind
+//!   `BENCH_kernel.json`;
 //! * [`cert`] — abstract-interpretation resource certificates for
 //!   every (config × workload) pair of the default grid, the `OPD-A`
 //!   lint sweep, and the `BENCH_cert.json` artifact behind

@@ -7,7 +7,7 @@ use opd_analyze::{AbsInt, Analysis, ResourceCertificate};
 use opd_baseline::{BaselineSolution, CallLoopForest};
 use opd_core::{
     anchored_intervals, detected_intervals, DetectedPhase, DetectorConfig, InternedTrace,
-    KernelKind, PhaseDetector, SweepEngine, SweepScratch, SweepUnit,
+    PhaseDetector, SweepEngine, SweepScratch, SweepUnit,
 };
 use opd_microvm::workloads::Workload;
 use opd_scoring::{score_intervals, AccuracyScore};
@@ -368,32 +368,29 @@ pub fn sweep_many(
     configs: &[DetectorConfig],
     threads: usize,
 ) -> Vec<Vec<ConfigRun>> {
-    let kernel = KernelKind::default();
-    sweep_many_with_kernel(prepared, configs, threads, kernel, |_, _, run| run)
+    sweep_many_with(prepared, configs, threads, |_, _, run| run)
 }
 
-/// [`sweep_many`] on an explicit window kernel, with every run reduced
-/// inside the worker that produced it: `reduce(workload, config_index,
-/// run)` typically scores the run against the workload's oracles, so
-/// its phase intervals are dropped at once instead of being held for
-/// the whole sweep. Each `(workload, unit)` item is priced by the
+/// [`sweep_many`] with every run reduced inside the worker that
+/// produced it: `reduce(workload, config_index, run)` typically scores
+/// the run against the workload's oracles, so its phase intervals are
+/// dropped at once instead of being held for the whole sweep. Each `(workload, unit)` item is priced by the
 /// static window-maintenance and comparison-op bounds of the unit's
 /// members, with the comparison part scaled by a judged-step density:
 /// the certificate midpoints when every member certifies
 /// non-vacuously (the normal case), else the measured probe density.
 #[must_use]
-pub fn sweep_many_with_kernel<T, R>(
+pub fn sweep_many_with<T, R>(
     prepared: &[PreparedWorkload],
     configs: &[DetectorConfig],
     threads: usize,
-    kernel: KernelKind,
     reduce: R,
 ) -> Vec<Vec<T>>
 where
     T: Send,
     R: Fn(&PreparedWorkload, usize, ConfigRun) -> T + Sync,
 {
-    let engine = SweepEngine::with_kernel(configs, kernel);
+    let engine = SweepEngine::new(configs);
     let mut prices = Vec::with_capacity(prepared.len() * engine.units().len());
     for p in prepared {
         let certs = p.certificates(configs);

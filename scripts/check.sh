@@ -9,7 +9,7 @@
 # aggressive hazards), an observability smoke pass (`opd top`,
 # `opd metrics-dump`, and the traced-serve → `opd flight` loop), an
 # `opd certify` smoke run (resource certificates + OPD-A30x lints +
-# BENCH_cert.json freshness), release-mode kernel-, engine-,
+# BENCH_cert.json freshness), release-mode kernel-, window-, engine-,
 # sweep-property-, streaming- and study-equivalence smokes, the BENCH_kernel.json
 # acceptance/freshness tests, an opd-core test run with `obs` off
 # (the null-observer-only build of the detector and sweep loops), the
@@ -64,11 +64,15 @@ cargo run --release -q --bin opd -- audit --deny-warnings > /dev/null
 # 224-pair differential soundness suite run in the workspace tests.)
 cargo run --release -q --bin opd -- certify --deny-warnings > /dev/null
 RUST_BACKTRACE=1 cargo test -q -p opd --test cert_artifact
-# Kernel equivalence smoke: the SWAR and scalar kernels must agree
-# bit-for-bit under release codegen too (the workspace run above
-# exercises the same differential + proptest suite in debug; release
-# is where the SWAR closed forms actually vectorise).
+# Kernel equivalence smoke: the window kernel must agree bit-for-bit
+# with the executable Figure 3 spec (tests/common/spec.rs) under
+# release codegen too (the workspace run above exercises the same
+# differential + proptest suites in debug; release is where the SWAR
+# closed forms actually vectorise). The window suite checks the spec's
+# paper examples and runs the kernel against it step by step at tiny
+# window sizes.
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernels_agree
+RUST_BACKTRACE=1 cargo test -q --release -p opd --test window_props
 # Engine equivalence under release codegen: the shared Constant-TW
 # scan and the forking Adaptive-TW scan (classes joined across steps
 # and merged at CW refill) must match sequential detectors bit for
@@ -76,17 +80,18 @@ RUST_BACKTRACE=1 cargo test -q --release -p opd --test kernel_equivalence kernel
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test engine_equivalence
 RUST_BACKTRACE=1 cargo test -q --release -p opd-core --test sweep_props
 # Streaming equivalence under release codegen: `process` in
-# skip-sized and arbitrary steps, on both kernels, must match a batch
-# `run_interned` bit for bit across compactions of the streaming id
-# log and a `reconfigure`.
+# skip-sized and arbitrary steps must match the spec step by step and
+# a batch `run_interned` bit for bit, across compactions of the
+# streaming id log and a `reconfigure`.
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test streaming_equivalence
 # Study equivalence under release codegen: every paper artifact and
 # extension study renders its pinned text, identically at 1 and 2
 # threads, through the one-sweep-per-artifact scored path.
 RUST_BACKTRACE=1 cargo test -q --release -p opd --test study_equivalence
 # The committed kernel benchmark artifact must be structurally valid,
-# meet the acceptance lines (budget, speedup, identical results), and
-# be fresh for the current grid and workload.
+# meet the acceptance lines on its median sample (budget, speedup,
+# identical results across samples), and be fresh for the current
+# grid and workload.
 RUST_BACKTRACE=1 cargo test -q -p opd --test kernel_artifact
 # Zero-overhead-when-off also means zero-dependency-when-off: opd-core
 # without its `obs` feature must not pull in opd-obs at all. (The

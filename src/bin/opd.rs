@@ -1016,7 +1016,7 @@ fn sweep(opts: &SweepOpts) -> ExitCode {
         reporter.human(format_args!(
             "kernel {}; lpt imbalance {:.3} over {} thread(s); null-observer overhead {:.2}% \
              ({} samples, {:.2} ms plain vs {:.2} ms instrumented)",
-            profile.kernel.as_str(),
+            opd_experiments::obs::KERNEL,
             profile.imbalance(),
             profile.threads,
             (overhead.ratio() - 1.0) * 100.0,

@@ -1,12 +1,15 @@
 //! Shared helpers for the integration tests: a minimal JSON parser
 //! (the workspace's `serde_json` dependency resolves to an inert
 //! offline shim, so machine-readable output is validated by hand), a
-//! runner for the `opd` binary, and the counting allocator of the
-//! allocation gates ([`alloc`]).
+//! runner for the `opd` binary, the counting allocator of the
+//! allocation gates ([`alloc`]), and the executable specification of
+//! Figure 3 the differential suites check the detector against
+//! ([`spec`]).
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 pub mod alloc;
+pub mod spec;
 
 use std::process::{Command, Output};
 

@@ -1,15 +1,12 @@
-//! Allocation discipline of the window kernels: a steady-state
-//! detector run allocates nothing on either kernel — including
-//! Pearson on the SWAR kernel, whose scalar counterpart needs a
-//! per-judgement site union — nor does a steady-state SWAR stream,
-//! and pre-sizing the site tables from the
-//! static alphabet bound (`reserve_sites`, backed by
-//! `Windows::with_site_capacity`) moves every site-table growth out of
-//! the first run. The shared counting allocator counts per thread,
+//! Allocation discipline of the window kernel: a steady-state
+//! detector run allocates nothing for any model, nor does a
+//! steady-state stream, and pre-sizing the site tables from the static
+//! alphabet bound (`reserve_sites`) moves every site-table growth out
+//! of the first run. The shared counting allocator counts per thread,
 //! and every measured run happens on the test's own thread, so the
 //! tests stay exact while the harness runs them in parallel.
 
-use opd_core::{DetectorConfig, InternedTrace, KernelKind, ModelPolicy, PhaseDetector};
+use opd_core::{DetectorConfig, InternedTrace, ModelPolicy, PhaseDetector};
 use opd_microvm::workloads::Workload;
 
 mod common;
@@ -48,7 +45,7 @@ fn swar_steady_state_allocates_nothing_for_every_model() {
     let trace = workload_trace(20_000);
     for model in ModelPolicy::ALL_EXTENDED {
         let config = config_for(model);
-        let mut detector = PhaseDetector::with_kernel(config, KernelKind::Swar);
+        let mut detector = PhaseDetector::new(config);
         // Warm-up sizes the SWAR count/bit lanes and the phase buffer;
         // `reconfigure` clears state but keeps every capacity.
         let _ = detector.run_interned_phases_only(&trace);
@@ -57,24 +54,6 @@ fn swar_steady_state_allocates_nothing_for_every_model() {
             let _ = detector.run_interned_phases_only(&trace);
         });
         assert_eq!(steady, 0, "{model:?}: SWAR steady state allocated");
-    }
-}
-
-#[test]
-fn scalar_steady_state_allocates_nothing_for_set_models() {
-    let trace = workload_trace(20_000);
-    // Scalar Pearson builds a per-judgement site union, so the
-    // scalar guarantee covers the set models only — one of the
-    // reasons the SWAR kernel is the default.
-    for model in [ModelPolicy::UnweightedSet, ModelPolicy::WeightedSet] {
-        let config = config_for(model);
-        let mut detector = PhaseDetector::with_kernel(config, KernelKind::Scalar);
-        let _ = detector.run_interned_phases_only(&trace);
-        detector.reconfigure(config);
-        let (_, steady) = allocations_during(|| {
-            let _ = detector.run_interned_phases_only(&trace);
-        });
-        assert_eq!(steady, 0, "{model:?}: scalar steady state allocated");
     }
 }
 
@@ -94,7 +73,7 @@ fn swar_streaming_steady_state_allocates_nothing_for_set_models() {
     let branches = workload_branches(20_000);
     for model in [ModelPolicy::UnweightedSet, ModelPolicy::WeightedSet] {
         let config = config_for(model);
-        let mut detector = PhaseDetector::with_kernel(config, KernelKind::Swar);
+        let mut detector = PhaseDetector::new(config);
         stream(&mut detector, &branches);
         detector.reconfigure(config);
         let (_, steady) = allocations_during(|| stream(&mut detector, &branches));
@@ -109,9 +88,8 @@ fn swar_streaming_steady_state_allocates_nothing_for_set_models() {
 fn reserving_sites_up_front_moves_growth_out_of_the_first_streaming_run() {
     // The streaming path interns sites one at a time, so an
     // unreserved detector grows its site tables incrementally as new
-    // sites appear mid-trace. `reserve_sites` (backed by
-    // `Windows::with_site_capacity`) pre-sizes them in one shot; both
-    // arms still pay the same interner and state-sequence
+    // sites appear mid-trace. `reserve_sites` pre-sizes them in one
+    // shot; both arms still pay the same interner and state-sequence
     // allocations.
     let branches = workload_branches(20_000);
     let distinct = workload_trace(20_000).distinct_count() as usize;
@@ -133,21 +111,18 @@ fn reserving_sites_up_front_moves_growth_out_of_the_first_streaming_run() {
 
 #[test]
 fn interned_first_runs_size_their_tables_in_one_shot() {
-    // The interned paths pre-size from the trace's distinct count on
-    // entry (SWAR lanes and counts, scalar site lists), so even a
-    // cold first run performs a small constant number of allocations
-    // — table sizing plus the phase buffer — never per-site growth.
+    // The interned path pre-sizes from the trace's distinct count on
+    // entry (count columns and bit lanes), so even a cold first run
+    // performs a small constant number of allocations — table sizing
+    // plus the phase buffer — never per-site growth.
     let trace = workload_trace(20_000);
     let config = config_for(ModelPolicy::WeightedSet);
-    for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-        let (_, cold) = allocations_during(|| {
-            let mut detector = PhaseDetector::with_kernel(config, kernel);
-            let _ = detector.run_interned_phases_only(&trace);
-        });
-        assert!(
-            cold <= 16,
-            "{kernel}: cold interned run allocated {cold} times; \
-             site tables are growing incrementally"
-        );
-    }
+    let (_, cold) = allocations_during(|| {
+        let mut detector = PhaseDetector::new(config);
+        let _ = detector.run_interned_phases_only(&trace);
+    });
+    assert!(
+        cold <= 16,
+        "cold interned run allocated {cold} times; site tables are growing incrementally"
+    );
 }

@@ -1,21 +1,27 @@
-//! The kernel-differential suite: the SWAR (default) window kernel
-//! must be bit-identical to the scalar reference — same per-element
-//! state sequence, same detected and anchored phases, same final
-//! similarity — on every MicroVM workload and on arbitrary traces.
+//! The kernel-differential suite: a detector run on the window kernel
+//! must be bit-identical to the executable Figure 3 specification
+//! (`common::spec`) — same similarity at every judged step, same
+//! per-element state sequence, same detected and anchored phases, same
+//! final state — on every MicroVM workload and on arbitrary traces.
 //! The grids cross all three similarity models with both TW policies,
 //! both anchors, both resize policies, and skip factors on both sides
 //! of the rank-mode cutoff, so the dense incremental path, the
-//! rank-index path, mid-phase flushes (`clear_keep_last`), and
-//! adaptive TW growth are all exercised against the reference.
+//! rank-index path, phase-end flushes with CW re-seeding, and adaptive
+//! TW growth are all exercised against the specification.
 
 use proptest::prelude::*;
 
 use opd_core::{
-    AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, KernelKind, ModelPolicy,
-    PhaseDetector, ResizePolicy, TwPolicy, RANK_MODE_MIN_SKIP,
+    AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, ModelPolicy, PhaseDetector,
+    ResizePolicy, TwPolicy, RANK_MODE_MIN_SKIP,
 };
 use opd_microvm::workloads::Workload;
-use opd_trace::{BranchTrace, MethodId, ProfileElement};
+use opd_obs::{DetectorEvent, RecordingObserver};
+use opd_trace::{BranchTrace, MethodId, ProfileElement, StateSeq};
+
+mod common;
+
+use common::spec::SpecDetector;
 
 const FUEL: u64 = 12_000;
 
@@ -58,24 +64,41 @@ fn differential_grid() -> Vec<DetectorConfig> {
     configs
 }
 
-fn assert_kernels_agree(trace: &InternedTrace, config: DetectorConfig, context: &str) {
-    let mut scalar = PhaseDetector::with_kernel(config, KernelKind::Scalar);
-    let scalar_seq = scalar.run_interned(trace);
-    let mut swar = PhaseDetector::with_kernel(config, KernelKind::Swar);
-    let swar_seq = swar.run_interned(trace);
+/// `(step, similarity bits)` of every judged step: bit-for-bit, not
+/// merely `==` (which would equate `0.0` and `-0.0`).
+fn judged(similarities: impl IntoIterator<Item = (u64, f64)>) -> Vec<(u64, u64)> {
+    similarities
+        .into_iter()
+        .map(|(step, value)| (step, value.to_bits()))
+        .collect()
+}
 
-    assert_eq!(scalar_seq, swar_seq, "{context}: state sequence");
+/// Runs `config` over `trace` on the detector and on the spec, and
+/// asserts they agree step by step.
+fn assert_kernels_agree(trace: &InternedTrace, config: DetectorConfig, context: &str) {
+    let mut detector = PhaseDetector::new(config);
+    let mut states = StateSeq::with_capacity(trace.len());
+    let mut recorder = RecordingObserver::new();
+    detector.run_interned_with_observer(trace, &mut states, &mut recorder);
+    let (spec, spec_states) = SpecDetector::run(config, trace.ids());
+
+    let detector_sims = recorder.events.iter().filter_map(|event| match *event {
+        DetectorEvent::Similarity { step, value, .. } => Some((step, value)),
+        _ => None,
+    });
     assert_eq!(
-        scalar.detected_phases(),
-        swar.detected_phases(),
-        "{context}: phases"
+        judged(detector_sims),
+        judged(spec.similarities.iter().copied()),
+        "{context}: judged similarities"
     );
+    assert_eq!(states, spec_states, "{context}: state sequence");
+    assert_eq!(detector.detected_phases(), spec.phases, "{context}: phases");
     assert_eq!(
-        scalar.last_similarity(),
-        swar.last_similarity(),
+        detector.last_similarity(),
+        spec.last_similarity(),
         "{context}: last similarity"
     );
-    assert_eq!(scalar.state(), swar.state(), "{context}: final state");
+    assert_eq!(detector.state(), spec.state, "{context}: final state");
 }
 
 #[test]

@@ -62,7 +62,7 @@ fn committed_artifact_is_structurally_valid_and_current() {
     for (b, fresh) in buckets.iter().zip(&profile.buckets) {
         assert_eq!(b.get("workload").str(), fresh.workload);
         assert_eq!(b.get("unit").as_u64(), fresh.unit_index as u64);
-        assert_eq!(b.get("kernel").str(), fresh.kernel);
+        assert_eq!(b.get("kernel").str(), opd_experiments::obs::KERNEL);
         assert_eq!(b.get("shared").boolean(), fresh.shared);
         assert_eq!(b.get("members").as_u64(), fresh.members as u64);
         for (key, value) in [

@@ -1,16 +1,21 @@
-//! The observer-equivalence suite: for every workload, every
-//! default-grid config (plus adaptive-TW extras) and both window
-//! kernels, the one generic detector body must (a) run bit-identically
-//! through its plain entry points and its observed ones under a
-//! `NullObserver`, and (b) emit an event stream from which an external
-//! observer reconstructs exactly the phase transitions the detector
-//! reports — the guard that event emission never perturbs the state
-//! machine it reports on.
+//! The observer-equivalence suite: for every workload and every
+//! default-grid config (plus adaptive-TW extras), the one generic
+//! detector body must (a) run bit-identically through its plain entry
+//! points and its observed ones under a `NullObserver`, and (b) emit an
+//! event stream from which an external observer reconstructs exactly
+//! the phase transitions the detector reports, with every `similarity`
+//! event carrying the value the executable Figure 3 specification
+//! (`common::spec`) computes at that step — the guard that event
+//! emission never perturbs the state machine it reports on.
 
-use opd_core::{DetectorConfig, InternedTrace, KernelKind, PhaseDetector};
+use opd_core::{DetectorConfig, InternedTrace, PhaseDetector};
 use opd_experiments::grid::{default_plan_grid, policy_grid, TwKind};
 use opd_microvm::workloads::Workload;
 use opd_obs::{DetectorEvent, NullObserver, RecordingObserver};
+
+mod common;
+
+use common::spec::SpecDetector;
 
 const FUEL: u64 = 12_000;
 
@@ -37,32 +42,30 @@ fn null_observed_runs_are_bit_identical_to_uninstrumented() {
     let configs = configs_under_test();
     for &workload in &Workload::ALL {
         let trace = interned(workload);
-        for kernel in [KernelKind::Scalar, KernelKind::Swar] {
-            for &config in &configs {
-                let mut plain = PhaseDetector::with_kernel(config, kernel);
-                let _ = plain.run_interned_phases_only(&trace);
+        for &config in &configs {
+            let mut plain = PhaseDetector::new(config);
+            let _ = plain.run_interned_phases_only(&trace);
 
-                let mut observed = PhaseDetector::with_kernel(config, kernel);
-                let _ = observed.run_interned_phases_observed(&trace, &mut NullObserver);
+            let mut observed = PhaseDetector::new(config);
+            let _ = observed.run_interned_phases_observed(&trace, &mut NullObserver);
 
-                let case = format!("{workload:?} {kernel} {config:?}");
-                assert_eq!(
-                    plain.detected_phases(),
-                    observed.detected_phases(),
-                    "{case}"
-                );
-                assert_eq!(plain.state(), observed.state(), "{case}");
-                assert_eq!(
-                    plain.last_similarity(),
-                    observed.last_similarity(),
-                    "{case}"
-                );
-                assert_eq!(
-                    plain.elements_consumed(),
-                    observed.elements_consumed(),
-                    "{case}"
-                );
-            }
+            let case = format!("{workload:?} {config:?}");
+            assert_eq!(
+                plain.detected_phases(),
+                observed.detected_phases(),
+                "{case}"
+            );
+            assert_eq!(plain.state(), observed.state(), "{case}");
+            assert_eq!(
+                plain.last_similarity(),
+                observed.last_similarity(),
+                "{case}"
+            );
+            assert_eq!(
+                plain.elements_consumed(),
+                observed.elements_consumed(),
+                "{case}"
+            );
         }
     }
 }
@@ -76,6 +79,32 @@ fn recorded_events_reconstruct_the_detector_phases() {
             let mut detector = PhaseDetector::new(config);
             let mut recorder = RecordingObserver::new();
             let _ = detector.run_interned_phases_observed(&trace, &mut recorder);
+
+            // Every judged step's similarity, bit for bit, against the
+            // spec's.
+            let (spec, _) = SpecDetector::run(config, trace.ids());
+            let recorded_sims: Vec<(u64, u64)> = recorder
+                .events
+                .iter()
+                .filter_map(|event| match *event {
+                    DetectorEvent::Similarity { step, value, .. } => Some((step, value.to_bits())),
+                    _ => None,
+                })
+                .collect();
+            let spec_sims: Vec<(u64, u64)> = spec
+                .similarities
+                .iter()
+                .map(|&(step, value)| (step, value.to_bits()))
+                .collect();
+            assert_eq!(
+                recorded_sims, spec_sims,
+                "{workload:?} {config:?}: similarities"
+            );
+            assert_eq!(
+                detector.detected_phases(),
+                spec.phases,
+                "{workload:?} {config:?}"
+            );
 
             let recorded = recorder.phases();
             let actual = detector.detected_phases();

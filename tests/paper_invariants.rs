@@ -9,6 +9,8 @@ use opd::experiments::runner::{best_combined, sweep, PreparedWorkload};
 use opd::microvm::workloads::Workload;
 use opd::scoring::score_intervals;
 
+mod common;
+
 #[test]
 fn oracle_phases_scored_against_themselves_are_perfect() {
     for w in [Workload::Lexgen, Workload::Ruleng] {
@@ -143,15 +145,28 @@ fn figure_2_walkthrough() {
     //                                          re-seeded with the last
     //                                          skipFactor elements)
     //   G:   refilling                  -> T
-    use opd::core::{AnalyzerPolicy, DetectorConfig, KernelKind, PhaseDetector, TwPolicy};
+    // Every step runs on the detector and on the executable Figure 3
+    // spec in lockstep, and the two must agree after each one.
+    use common::spec::SpecDetector;
+    use opd::core::{AnalyzerPolicy, DetectorConfig, PhaseDetector, TwPolicy};
     use opd::trace::{MethodId, PhaseState, ProfileElement};
 
-    let elem = |site: u32| ProfileElement::new(MethodId::new(0), site, true);
+    /// Feeds `site` to both and returns the (agreed) state.
+    fn step(d: &mut PhaseDetector, spec: &mut SpecDetector, site: u32) -> PhaseState {
+        let state = d.process(&[ProfileElement::new(MethodId::new(0), site, true)]);
+        let ctx = format!("{} TW, site {site}", d.config().tw_policy());
+        assert_eq!(state, spec.step(&[site]), "{ctx}: state");
+        assert_eq!(
+            (d.cw_len(), d.tw_len()),
+            (spec.windows.cw.len(), spec.windows.tw.len()),
+            "{ctx}: window lengths"
+        );
+        assert_eq!(d.last_similarity(), spec.last_similarity(), "{ctx}");
+        assert_eq!(d.detected_phases(), spec.phases, "{ctx}: phases");
+        state
+    }
 
-    for (policy, kernel) in [TwPolicy::Constant, TwPolicy::Adaptive]
-        .into_iter()
-        .flat_map(|p| [KernelKind::Swar, KernelKind::Scalar].map(|k| (p, k)))
-    {
+    for policy in [TwPolicy::Constant, TwPolicy::Adaptive] {
         let config = DetectorConfig::builder()
             .current_window(5)
             .trailing_window(5)
@@ -160,21 +175,22 @@ fn figure_2_walkthrough() {
             .analyzer(AnalyzerPolicy::Threshold(0.6))
             .build()
             .unwrap();
-        let mut d = PhaseDetector::with_kernel(config, kernel);
+        let mut d = PhaseDetector::new(config);
+        let mut spec = SpecDetector::new(config);
 
         // Rows A-B: ten distinct transition elements fill the windows.
         for site in 0..10 {
             assert_eq!(
-                d.process(&[elem(site)]),
+                step(&mut d, &mut spec, site),
                 PhaseState::Transition,
-                "{policy} on {kernel}: fill"
+                "{policy}: fill"
             );
         }
         // Row C: full windows, disjoint contents: still T.
         assert_eq!(
-            d.process(&[elem(10)]),
+            step(&mut d, &mut spec, 10),
             PhaseState::Transition,
-            "{policy} on {kernel}: row C"
+            "{policy}: row C"
         );
 
         // Feed a stable phase (one repeated site). The detector turns
@@ -182,7 +198,7 @@ fn figure_2_walkthrough() {
         // necessarily after the true phase start.
         let mut first_p = None;
         for i in 0..20 {
-            if d.process(&[elem(100)]).is_phase() {
+            if step(&mut d, &mut spec, 100).is_phase() {
                 first_p = Some(i);
                 break;
             }
@@ -193,9 +209,9 @@ fn figure_2_walkthrough() {
         // Row E: the phase continues.
         for _ in 0..30 {
             assert_eq!(
-                d.process(&[elem(100)]),
+                step(&mut d, &mut spec, 100),
                 PhaseState::Phase,
-                "{policy} on {kernel}: row E"
+                "{policy}: row E"
             );
         }
         if policy == TwPolicy::Adaptive {
@@ -209,21 +225,21 @@ fn figure_2_walkthrough() {
 
         // Row F: the phase ends at the first dissimilar element.
         assert_eq!(
-            d.process(&[elem(200)]),
+            step(&mut d, &mut spec, 200),
             PhaseState::Transition,
-            "{policy} on {kernel}: row F"
+            "{policy}: row F"
         );
-        // Windows were flushed and the CW re-seeded with the last
+        // Both windows were flushed and the CW re-seeded with the last
         // skipFactor (= 1) elements.
-        assert_eq!(d.tw_len(), 0, "{policy} on {kernel}: TW flushed");
-        assert_eq!(d.cw_len(), 1, "{policy} on {kernel}: CW re-seeded");
+        assert_eq!(d.tw_len(), 0, "{policy}: TW flushed");
+        assert_eq!(d.cw_len(), 1, "{policy}: CW re-seeded");
 
         // Row G: refilling keeps reporting T.
         for site in 201..209 {
             assert_eq!(
-                d.process(&[elem(site)]),
+                step(&mut d, &mut spec, site),
                 PhaseState::Transition,
-                "{policy} on {kernel}: row G"
+                "{policy}: row G"
             );
         }
     }

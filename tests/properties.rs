@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use opd::baseline::CallLoopForest;
 use opd::core::{
     AnalyzerPolicy, AnchorPolicy, DetectorConfig, ModelPolicy, PhaseDetector, ResizePolicy,
-    TwPolicy, Windows,
+    TwPolicy,
 };
 use opd::microvm::{ArgExpr, Interpreter, ProgramBuilder, TakenDist, Trip};
 use opd::scoring::{correlation, match_phases, score_intervals};
@@ -15,6 +15,15 @@ use opd::trace::{
     states_from_intervals, BranchTrace, ExecutionTrace, MethodId, PhaseInterval, PhaseState,
     ProfileElement, StateSeq, TraceSink, BRANCH_RECORD_LEN,
 };
+
+mod common;
+
+use common::spec::SpecWindows;
+
+/// The profile element of branch site `site`.
+fn site_element(site: u32) -> ProfileElement {
+    ProfileElement::new(MethodId::new(0), site, true)
+}
 
 fn arb_element() -> impl Strategy<Value = ProfileElement> {
     (0u32..8, 0u32..6, any::<bool>())
@@ -115,13 +124,30 @@ proptest! {
         cw in 1usize..20,
         tw in 1usize..20,
     ) {
-        let mut w = Windows::new(cw, tw);
+        // The spec's windows, with the TW growing on every third push.
+        let mut w = SpecWindows::new(cw, tw);
         for (i, &s) in sites.iter().enumerate() {
             w.push(s, i % 3 == 0);
-            let u = w.unweighted_similarity();
-            let wt = w.weighted_similarity();
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&u), "{u}");
-            prop_assert!((0.0..=1.0 + 1e-9).contains(&wt), "{wt}");
+            for model in ModelPolicy::ALL_EXTENDED {
+                let sim = w.similarity(model);
+                prop_assert!((0.0..=1.0 + 1e-9).contains(&sim), "{model}: {sim}");
+            }
+        }
+        // Every similarity a detector judges over the same sites.
+        for model in ModelPolicy::ALL_EXTENDED {
+            let config = DetectorConfig::builder()
+                .current_window(cw)
+                .trailing_window(tw)
+                .model(model)
+                .build()
+                .expect("valid config");
+            let mut detector = PhaseDetector::new(config);
+            for &s in &sites {
+                detector.process(&[site_element(s)]);
+                if let Some(sim) = detector.last_similarity() {
+                    prop_assert!((0.0..=1.0 + 1e-9).contains(&sim), "{model}: {sim}");
+                }
+            }
         }
     }
 
@@ -130,17 +156,33 @@ proptest! {
         sites in prop::collection::vec(0u32..4, 40..80),
     ) {
         // Push enough elements that every site occurs in both windows.
-        let mut w = Windows::new(8, 8);
+        let mut w = SpecWindows::new(8, 8);
         for _ in 0..4 {
             for &s in &sites {
                 w.push(s, false);
             }
         }
-        let distinct_cw = w.distinct_cw();
+        let distinct_cw = (0..4).filter(|&s| w.cw_count(s) > 0).count();
         let in_tw = (0..4).filter(|&s| w.tw_count(s) > 0 && w.cw_count(s) > 0).count();
+        let spec = w.similarity(ModelPolicy::UnweightedSet);
         if in_tw == distinct_cw {
-            prop_assert!((w.unweighted_similarity() - 1.0).abs() < 1e-9);
+            prop_assert!((spec - 1.0).abs() < 1e-9);
         }
+        // A detector whose analyzer always fires never flushes, so its
+        // windows end as the same FIFO and judge the same value.
+        let config = DetectorConfig::builder()
+            .current_window(8)
+            .trailing_window(8)
+            .analyzer(AnalyzerPolicy::Threshold(0.0))
+            .build()
+            .expect("valid config");
+        let mut detector = PhaseDetector::new(config);
+        for _ in 0..4 {
+            for &s in &sites {
+                detector.process(&[site_element(s)]);
+            }
+        }
+        prop_assert_eq!(detector.last_similarity(), Some(spec));
     }
 
     #[test]

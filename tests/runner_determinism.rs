@@ -7,12 +7,12 @@
 //! depends only on its inputs, so neither the thread count nor the
 //! claim order (the LPT prices) can leak into the output.
 
-use opd_core::{DetectorConfig, KernelKind, SweepEngine};
+use opd_core::{DetectorConfig, SweepEngine};
 use opd_experiments::checkpoint::{run_fingerprint, sweep_many_checkpointed};
 use opd_experiments::grid::{policy_grid, TwKind};
 use opd_experiments::obs::sweep_many_profiled;
 use opd_experiments::runner::{
-    calibrated_unit_cost, prepare_all, sweep_many, sweep_many_with_kernel, sweep_priced, ConfigRun,
+    calibrated_unit_cost, prepare_all, sweep_many, sweep_many_with, sweep_priced, ConfigRun,
 };
 use opd_microvm::workloads::Workload;
 
@@ -58,19 +58,13 @@ fn in_worker_scores_are_bit_identical_across_thread_counts() {
     let prepared = prepare_all(&ws, 1, &mpls, 50_000);
     let configs = grid();
     let scored = |threads| {
-        sweep_many_with_kernel(
-            &prepared,
-            &configs,
-            threads,
-            KernelKind::default(),
-            |p, _, run| {
-                mpls.map(|mpl| {
-                    let oracle = p.oracle(mpl);
-                    let detected = run.score(oracle).combined().to_bits();
-                    (detected, run.anchored_score(oracle).combined().to_bits())
-                })
-            },
-        )
+        sweep_many_with(&prepared, &configs, threads, |p, _, run| {
+            mpls.map(|mpl| {
+                let oracle = p.oracle(mpl);
+                let detected = run.score(oracle).combined().to_bits();
+                (detected, run.anchored_score(oracle).combined().to_bits())
+            })
+        })
     };
     let baseline = scored(THREADS[0]);
     // In-worker scoring must agree with scoring the kept runs.

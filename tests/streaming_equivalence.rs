@@ -1,25 +1,30 @@
 //! The streaming-differential suite: feeding a detector step by step
-//! through `process` must be bit-identical to a batch `run_interned`
-//! over the same elements — same per-element state sequence, same
-//! detected and anchored phases, same final similarity — on both
-//! window kernels. The streaming SWAR kernel resumes its run over an
-//! owned id log each step and compacts the log's dead prefix, so the
-//! grids here cover every workload under the default plan grid, the
-//! adaptive anchor/resize cross, and the serve configs, each in all
-//! three similarity models; a long stream crosses many compactions
-//! and a `reconfigure`; and a proptest covers arbitrary traces,
-//! configs and step partitions.
+//! through `process` must match the executable Figure 3 specification
+//! (`common::spec`) fed the same steps — same state, window lengths
+//! and similarity after every step, same detected and anchored phases
+//! — and be bit-identical to a batch `run_interned` over the same
+//! elements. The streaming kernel resumes its run over an owned id log
+//! each step and compacts the log's dead prefix, so the grids here
+//! cover every workload under the default plan grid, the adaptive
+//! anchor/resize cross, and the serve configs, each in all three
+//! similarity models; a long stream crosses many compactions and a
+//! `reconfigure`; and a proptest covers arbitrary traces, configs and
+//! step partitions.
 
 use proptest::prelude::*;
 
 use opd_core::{
-    AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, KernelKind, ModelPolicy,
-    PhaseDetector, ResizePolicy, TwPolicy,
+    AnalyzerPolicy, AnchorPolicy, DetectorConfig, InternedTrace, ModelPolicy, PhaseDetector,
+    ResizePolicy, TwPolicy,
 };
 use opd_experiments::grid::default_plan_grid;
 use opd_experiments::serve::serve_configs;
 use opd_microvm::workloads::Workload;
 use opd_trace::{MethodId, ProfileElement, StateSeq};
+
+mod common;
+
+use common::spec::SpecDetector;
 
 const FUEL: u64 = 8_000;
 
@@ -80,40 +85,60 @@ fn differential_grid() -> Vec<DetectorConfig> {
     configs
 }
 
-/// Streams `elements` through `detector` in the given step lengths
-/// (cycled), closing the open phase at the end as a batch run does.
-fn stream(detector: &mut PhaseDetector, elements: &[ProfileElement], steps: &[usize]) -> StateSeq {
+/// Streams `elements` through `detector`, and their ids through the
+/// spec, in the given step lengths (cycled), checking the state, the
+/// window lengths and the similarity after every step and the phases
+/// at the end, where the open phase is closed as a batch run does.
+fn stream(
+    detector: &mut PhaseDetector,
+    elements: &[ProfileElement],
+    steps: &[usize],
+    ctx: &str,
+) -> StateSeq {
+    let interned = InternedTrace::from_elements(elements.iter().copied());
+    let ids = interned.ids();
+    let mut spec = SpecDetector::new(*detector.config());
     let mut seq = StateSeq::with_capacity(elements.len());
-    let mut rest = elements;
+    let mut at = 0;
     for &len in steps.iter().cycle() {
-        if rest.is_empty() {
+        if at == elements.len() {
             break;
         }
-        let (step, tail) = rest.split_at(len.min(rest.len()));
-        seq.push_n(detector.process(step), step.len());
-        rest = tail;
+        let end = elements.len().min(at + len);
+        let state = detector.process(&elements[at..end]);
+        assert_eq!(
+            state,
+            spec.step(&ids[at..end]),
+            "{ctx}: state of the step ending at element {end}"
+        );
+        assert_eq!(
+            (detector.cw_len(), detector.tw_len()),
+            (spec.windows.cw.len(), spec.windows.tw.len()),
+            "{ctx}: window lengths after element {end}"
+        );
+        assert_eq!(
+            detector.last_similarity().map(f64::to_bits),
+            spec.last_similarity().map(f64::to_bits),
+            "{ctx}: similarity after element {end}"
+        );
+        seq.push_n(state, end - at);
+        at = end;
     }
     detector.close_open_phase();
+    spec.finish();
+    assert_eq!(detector.detected_phases(), spec.phases, "{ctx}: phases");
     seq
 }
 
-/// Streams `elements` in skip-sized steps on both kernels and checks
-/// each against a batch run on the default kernel.
+/// Streams `elements` in skip-sized steps against the spec and checks
+/// the stream against a batch run.
 fn assert_stream_matches_batch(elements: &[ProfileElement], config: DetectorConfig, ctx: &str) {
     let interned = InternedTrace::from_elements(elements.iter().copied());
     let mut batch = PhaseDetector::new(config);
     let batch_seq = batch.run_interned(&interned);
-    for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-        let mut streamed = PhaseDetector::with_kernel(config, kernel);
-        let seq = stream(&mut streamed, elements, &[config.skip_factor()]);
-        assert_same_run(
-            &streamed,
-            &seq,
-            &batch,
-            &batch_seq,
-            &format!("{ctx} on {kernel}"),
-        );
-    }
+    let mut streamed = PhaseDetector::new(config);
+    let seq = stream(&mut streamed, elements, &[config.skip_factor()], ctx);
+    assert_same_run(&streamed, &seq, &batch, &batch_seq, ctx);
 }
 
 fn assert_same_run(
@@ -162,9 +187,9 @@ fn block_stream(len: usize) -> Vec<ProfileElement> {
 
 #[test]
 fn long_streams_cross_compactions_and_survive_reconfigure() {
-    // Windows of a few dozen elements over a 120k-element stream: the
-    // SWAR id log compacts its dead prefix thousands of times, so
-    // every phase offset below is reported through a moved origin.
+    // Window sizes of a few dozen elements over a 120k-element stream:
+    // the id log compacts its dead prefix thousands of times, so every
+    // phase offset below is reported through a moved origin.
     let elements = block_stream(120_000);
     let configs: Vec<DetectorConfig> = [TwPolicy::Constant, TwPolicy::Adaptive]
         .into_iter()
@@ -185,25 +210,18 @@ fn long_streams_cross_compactions_and_survive_reconfigure() {
         assert_stream_matches_batch(&elements, config, &format!("long {config:?}"));
     }
 
-    // One detector, reconfigured between streams, must match a fresh
-    // detector every time — on both kernels, across config changes.
-    for kernel in [KernelKind::Swar, KernelKind::Scalar] {
-        let mut reused = PhaseDetector::with_kernel(configs[0], kernel);
-        for (round, &config) in configs.iter().chain(configs.iter().rev()).enumerate() {
-            reused.reconfigure(config);
-            let skip = [config.skip_factor()];
-            let reused_seq = stream(&mut reused, &elements, &skip);
-            let mut fresh = PhaseDetector::with_kernel(config, kernel);
-            let fresh_seq = stream(&mut fresh, &elements, &skip);
-            assert!(reused.detected_phases().len() > 10, "phases keep coming");
-            assert_same_run(
-                &reused,
-                &reused_seq,
-                &fresh,
-                &fresh_seq,
-                &format!("{kernel} round {round} {config:?}"),
-            );
-        }
+    // One detector, reconfigured between streams, must match the spec
+    // and a fresh detector every time, across config changes.
+    let mut reused = PhaseDetector::new(configs[0]);
+    for (round, &config) in configs.iter().chain(configs.iter().rev()).enumerate() {
+        let ctx = format!("round {round} {config:?}");
+        reused.reconfigure(config);
+        let skip = [config.skip_factor()];
+        let reused_seq = stream(&mut reused, &elements, &skip, &ctx);
+        let mut fresh = PhaseDetector::new(config);
+        let fresh_seq = stream(&mut fresh, &elements, &skip, &ctx);
+        assert!(reused.detected_phases().len() > 10, "phases keep coming");
+        assert_same_run(&reused, &reused_seq, &fresh, &fresh_seq, &ctx);
     }
 }
 
@@ -265,13 +283,10 @@ proptest! {
         config in arb_config(),
         steps in prop::collection::vec(1usize..90, 1..12),
     ) {
-        // Steps of any length, not just `skip_factor`: the SWAR
-        // closed forms must match the scalar per-element loop for
+        // Steps of any length, not just `skip_factor`: the kernel's
+        // closed forms must match the spec's per-element pushes for
         // every advance size.
-        let mut swar = PhaseDetector::with_kernel(config, KernelKind::Swar);
-        let swar_seq = stream(&mut swar, &elements, &steps);
-        let mut scalar = PhaseDetector::with_kernel(config, KernelKind::Scalar);
-        let scalar_seq = stream(&mut scalar, &elements, &steps);
-        assert_same_run(&swar, &swar_seq, &scalar, &scalar_seq, &format!("{config:?} {steps:?}"));
+        let mut detector = PhaseDetector::new(config);
+        let _ = stream(&mut detector, &elements, &steps, &format!("{config:?} {steps:?}"));
     }
 }
